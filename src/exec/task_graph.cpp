@@ -16,7 +16,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0,
 }  // namespace
 
 TaskId TaskGraph::add(std::string name, std::function<void()> fn,
-                      std::vector<TaskId> deps, int priority) {
+                      const std::vector<TaskId>& deps, int priority) {
   if (ran_) throw std::logic_error("TaskGraph::add after run()");
   const TaskId id = nodes_.size();
   Node node;
@@ -28,7 +28,6 @@ TaskId TaskGraph::add(std::string name, std::function<void()> fn,
     nodes_[dep].dependents.push_back(id);
     ++node.remaining_deps;
   }
-  node.deps = std::move(deps);
   nodes_.push_back(std::move(node));
   return id;
 }
@@ -85,10 +84,6 @@ void TaskGraph::execute_node(TaskId id, ThreadPool* pool,
   if (!skip) {
     const trace::TraceScope span(trace::Category::kExec,
                                  "task:" + node.report.name);
-    // Dependency edges become happens-before edges: join every
-    // predecessor's completion publish before the body runs.
-    for (TaskId dep : node.deps)
-      annot::AtomicConsume(&nodes_[dep], "exec.graph-node");
     const auto start = std::chrono::steady_clock::now();
     node.report.start_seconds = seconds_since(t0, start);
     try {
@@ -102,9 +97,6 @@ void TaskGraph::execute_node(TaskId id, ThreadPool* pool,
     }
     node.report.seconds =
         seconds_since(start, std::chrono::steady_clock::now());
-    // Publish even after an exception: the body's partial effects are
-    // still ordered before any dependent that would have consumed them.
-    annot::AtomicPublish(&node, "exec.graph-node");
   }
   node.fn = nullptr;  // release captures eagerly
   finish_node(id, pool, t0);
@@ -112,19 +104,13 @@ void TaskGraph::execute_node(TaskId id, ThreadPool* pool,
 
 void TaskGraph::finish_node(TaskId id, ThreadPool* pool,
                             std::chrono::steady_clock::time_point t0) {
-  // Graph-completion edge half: run() consumes after quiescence so every
-  // node's effects are ordered before run()'s return.
-  annot::AtomicPublish(this, "exec.graph");
   std::vector<TaskId> ready;
   for (TaskId dep : nodes_[id].dependents) {
     // remaining_deps is only decremented by the finishing of a
     // predecessor; each predecessor finishes exactly once, and the last
     // one to do so (under mutex_) releases the dependent.
     std::lock_guard<std::mutex> lock(mutex_);
-    if (--nodes_[dep].remaining_deps == 0) {
-      ready.push_back(dep);
-      annot::OnGraphEdge();  // seeded preemption point per released edge
-    }
+    if (--nodes_[dep].remaining_deps == 0) ready.push_back(dep);
   }
   if (!ready.empty()) release(std::move(ready), pool, t0);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -162,7 +148,6 @@ void TaskGraph::run(ThreadPool* pool) {
       }
     }
   }
-  annot::AtomicConsume(this, "exec.graph");
   makespan_seconds_ = seconds_since(t0, std::chrono::steady_clock::now());
   std::exception_ptr error;
   {

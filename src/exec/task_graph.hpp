@@ -45,7 +45,7 @@ class TaskGraph {
   /// runs earlier among simultaneously-ready nodes (use e.g. descending
   /// job size for LPT scheduling).
   TaskId add(std::string name, std::function<void()> fn,
-             std::vector<TaskId> deps = {}, int priority = 0);
+             const std::vector<TaskId>& deps = {}, int priority = 0);
 
   std::size_t size() const { return nodes_.size(); }
 
@@ -80,9 +80,6 @@ class TaskGraph {
   struct Node {
     std::function<void()> fn;
     std::vector<TaskId> dependents;
-    /// Predecessors, kept for racecheck: an executing node consumes each
-    /// dependency's publish so graph edges are happens-before edges.
-    std::vector<TaskId> deps;
     int remaining_deps = 0;
     Report report;
   };

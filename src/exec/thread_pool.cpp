@@ -19,15 +19,6 @@ thread_local int t_worker = -1;
 }  // namespace
 
 ThreadPool::ThreadPool(const Options& options) : options_(options) {
-  if (options_.racecheck && racecheck::hooks_compiled()) {
-    racecheck::Session::Options ropts;
-    ropts.fuzz = options_.racecheck_seed != 0;
-    ropts.seed = options_.racecheck_seed;
-    racecheck_ = std::make_unique<racecheck::Session>(ropts);
-    // Another session already installed (e.g. the racecheck CLI owns the
-    // run): defer to it instead of fighting over the hook slot.
-    if (!racecheck_->install()) racecheck_.reset();
-  }
   const int n = std::max(1, options.threads);
   options_.threads = n;
   const Topology topo = Topology::detect();
@@ -54,8 +45,6 @@ ThreadPool::~ThreadPool() {
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   // All tasks have completed (wait_idle), so no queued Task* remain.
-  // Workers are joined, so uninstalling the pool-owned session is safe.
-  if (racecheck_ != nullptr) racecheck_->uninstall();
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
@@ -70,8 +59,6 @@ void ThreadPool::submit(std::function<void()> fn) {
                    static_cast<double>(depth));
   }
   Task* task = new Task(std::move(fn));
-  // Spawn edge: the task inherits the submitter's clock snapshot.
-  annot::OnTaskCreate(task);
   const int w = (t_pool == this) ? t_worker : -1;
   if (w >= 0) {
     Worker& worker = *workers_[static_cast<std::size_t>(w)];
@@ -147,9 +134,6 @@ ThreadPool::Task* ThreadPool::take(int worker) {
     for (const int victim : own.steal_order) {
       if (Task* task = steal_from(victim)) {
         own.stolen.fetch_add(1, std::memory_order_relaxed);
-        // Successful steals only: failed probes stay annotation-free so
-        // the CAS spin path never crosses into the detector.
-        annot::OnSteal();
         return task;
       }
       count_steal_failure(worker);
@@ -158,7 +142,6 @@ ThreadPool::Task* ThreadPool::take(int worker) {
     for (int victim = 0; victim < n; ++victim) {
       if (Task* task = steal_from(victim)) {
         external_stolen_.fetch_add(1, std::memory_order_relaxed);
-        annot::OnSteal();
         return task;
       }
       count_steal_failure(worker);
@@ -168,15 +151,7 @@ ThreadPool::Task* ThreadPool::take(int worker) {
 }
 
 void ThreadPool::execute(Task* task, int worker) {
-  // The task runs as its own logical thread: its clock starts from the
-  // spawn snapshot (not from whatever this worker ran before), so
-  // detection never depends on which worker picked the task up.
-  annot::OnTaskBegin(task);
   (*task)();
-  // Completion edge half: wait_idle()/run loops consume on the pool
-  // object, ordering every finished task before the waiter's continuation.
-  annot::AtomicPublish(this, "exec.pool");
-  annot::OnTaskEnd(task);
   delete task;
   if (worker >= 0)
     workers_[static_cast<std::size_t>(worker)]->executed.fetch_add(
@@ -232,11 +207,9 @@ void ThreadPool::worker_loop(int index) {
     // allocate a buffer chunk) is safe here — never in take().
     publish_trace_counters();
     self.parks.fetch_add(1, std::memory_order_relaxed);
-    annot::OnPark();
     lock.lock();
     wake_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
     self.unparks.fetch_add(1, std::memory_order_relaxed);
-    annot::OnUnpark();
     if (stop_) return;
   }
 }
@@ -254,9 +227,6 @@ void ThreadPool::wait_idle() {
              epoch_ != seen;
     });
   }
-  // Completion edge other half: join every finished task's publish into
-  // the waiter's clock.
-  annot::AtomicConsume(this, "exec.pool");
   publish_trace_counters();
 }
 
@@ -282,11 +252,6 @@ int ThreadPool::current_worker() const {
   return t_pool == this ? t_worker : -1;
 }
 
-std::vector<lint::Diagnostic> ThreadPool::racecheck_report() {
-  if (racecheck_ == nullptr) return {};
-  return racecheck_->finish();
-}
-
 // ---------------------------------------------------------------- TaskGroup
 
 void TaskGroup::run(std::function<void()> fn) {
@@ -297,8 +262,6 @@ void TaskGroup::run(std::function<void()> fn) {
   remaining_.fetch_add(1, std::memory_order_relaxed);
   pool_->submit([this, fn = std::move(fn)] {
     fn();
-    // Group-completion edge half; wait() consumes after the handshake.
-    annot::AtomicPublish(this, "exec.group");
     // The decrement must happen under mutex_: wait() re-acquires the mutex
     // after observing zero, which then cannot succeed until this thread has
     // released cv_ and the lock — so the caller cannot destroy the group
@@ -324,7 +287,6 @@ void TaskGroup::wait() {
   // mutex_: once we hold the lock, that task has fully left cv_/mutex_ and
   // destroying the group is safe.
   std::lock_guard<std::mutex> lock(mutex_);
-  annot::AtomicConsume(this, "exec.group");
 }
 
 }  // namespace presp::exec

@@ -38,8 +38,6 @@
 #include <vector>
 
 #include "exec/chase_lev.hpp"
-#include "racecheck/annot.hpp"
-#include "racecheck/session.hpp"
 #include "trace/trace.hpp"
 
 namespace presp::exec {
@@ -48,14 +46,6 @@ class ThreadPool {
  public:
   struct Options {
     int threads = 1;
-    /// Install a racecheck::Session for this pool's lifetime: every
-    /// annotated access while the pool is alive feeds the race detector,
-    /// and racecheck_report() returns the findings. No-op when another
-    /// session is already installed or the build compiled hooks out.
-    bool racecheck = false;
-    /// Non-zero: also run the seeded schedule fuzzer with this seed
-    /// (only meaningful with racecheck = true).
-    std::uint64_t racecheck_seed = 0;
     /// Fall back to the mutex-guarded per-worker deques (the pre-Chase-Lev
     /// implementation). Kept for A/B contention measurement; defaults to
     /// the build-time PRESP_EXEC_MUTEX_DEQUE flag.
@@ -113,11 +103,6 @@ class ThreadPool {
   /// called from outside (used to label per-task trace spans).
   int current_worker() const;
 
-  /// Finalizes the pool-owned racecheck session (Options::racecheck) and
-  /// returns its diagnostics. Call after wait_idle(); empty when the
-  /// pool owns no session. Idempotent.
-  std::vector<lint::Diagnostic> racecheck_report();
-
  private:
   using Task = std::function<void()>;
 
@@ -162,10 +147,6 @@ class ThreadPool {
   void count_steal_failure(int worker);
 
   Options options_;
-  /// Pool-owned race-detection session (Options::racecheck). Installed
-  /// before the workers spawn and uninstalled after they join, honouring
-  /// the session lifetime contract (racecheck/session.hpp).
-  std::unique_ptr<racecheck::Session> racecheck_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "racecheck/annot.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
@@ -271,10 +270,6 @@ void FleetManager::admit(FleetRequest request) {
     shed_or_fallback(request, FleetError::kQueueFull);
     return;
   }
-  // FleetManager is single-driver by contract; the access annotations
-  // here exist so racecheck flags a caller that drives one manager from
-  // two unsynchronized threads.
-  PRESP_RC_WRITE(this, "fleet.state");
   counter(("fleet.tenant." + std::to_string(request.tenant) + ".admitted")
               .c_str())
       .add();
@@ -282,9 +277,7 @@ void FleetManager::admit(FleetRequest request) {
 }
 
 void FleetManager::step() {
-  const annot::Scope scope("fleet.step");
   std::lock_guard<std::mutex> lock(ops_mutex_);
-  PRESP_RC_WRITE(this, "fleet.state");
   now_ += static_cast<sim::Time>(topology_.quantum_cycles);
   for (int c = 0; c < kNumQosClasses; ++c) {
     ClassQueue& cq = classes_[c];
@@ -637,7 +630,6 @@ void FleetManager::shed_or_fallback(const FleetRequest& request,
 
 bool FleetManager::idle() const {
   std::lock_guard<std::mutex> lock(ops_mutex_);
-  PRESP_RC_READ(this, "fleet.state");
   if (!inflight_.empty() || !fallbacks_.empty()) return false;
   for (const ClassQueue& cq : classes_) {
     if (!cq.queue.empty()) return false;

@@ -1,12 +1,13 @@
 // Shared cycle detection for the static analyses.
 //
-// PR 3 grew two independent DFS cycle detectors (the runtime lock-order
-// rule and the NoC channel-dependency check); the racecheck lock-order
-// pass is a third client. This header factors the common core: an
-// iterative three-colour DFS over a small adjacency-list digraph that
-// returns the first cycle found as an explicit node sequence, so every
-// caller can render "a -> b -> ... -> a" without re-deriving it from
-// colouring state.
+// Clients: the runtime.lock-order rule (tile-lock acquisition orders),
+// the noc.deadlock rule (channel dependencies between links) and the
+// runtime manager's declared semaphore nesting (kManagerLockNesting,
+// checked in runtime_test). This header is the one cycle search they
+// share: an iterative three-colour DFS over a small adjacency-list
+// digraph that returns the first cycle found as an explicit node
+// sequence, so every caller can render "a -> b -> ... -> a" without
+// re-deriving it from colouring state.
 //
 // Header-only and dependency-light (no lint types) so low-level
 // libraries can use it without linking the rule engine.

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "bitstream/relocate.hpp"
 #include "fleet/topology.hpp"
@@ -429,60 +428,49 @@ void check_noc_deadlock(LintContext& ctx, DiagnosticEngine& engine) {
       edges[l1].insert(l2);
     }
   }
-  // Iterative three-colour DFS for a cycle.
-  std::map<long long, int> colour;  // 0 white, 1 grey, 2 black
-  std::vector<long long> stack;
-  const auto link_name = [&](long long link) {
+  // Map links onto dense vertices in ascending link order (successors
+  // stay ascending too), so find_cycle (lint/cycle.hpp) explores them in
+  // a fixed order and the same routes always report the same cycle.
+  std::map<long long, int> vertex_of;
+  for (const auto& [src, outs] : edges) {
+    vertex_of.emplace(src, 0);
+    for (const long long dst : outs) vertex_of.emplace(dst, 0);
+  }
+  std::vector<long long> links;
+  links.reserve(vertex_of.size());
+  for (auto& [link, vertex] : vertex_of) {
+    vertex = static_cast<int>(links.size());
+    links.push_back(link);
+  }
+  std::vector<std::vector<int>> adjacency(links.size());
+  for (const auto& [src, outs] : edges)
+    for (const long long dst : outs)
+      adjacency[static_cast<std::size_t>(vertex_of[src])].push_back(
+          vertex_of[dst]);
+  const std::vector<int> walk = find_cycle(adjacency);
+  if (walk.empty()) return;
+  const auto link_name = [&](int vertex) {
+    const long long link = links[static_cast<std::size_t>(vertex)];
     return "(" + std::to_string(link / tiles) + "->" +
            std::to_string(link % tiles) + ")";
   };
-  for (const auto& [start, _] : edges) {
-    if (colour[start] != 0) continue;
-    std::vector<std::pair<long long, bool>> work{{start, false}};
-    while (!work.empty()) {
-      auto [link, done] = work.back();
-      work.pop_back();
-      if (done) {
-        colour[link] = 2;
-        if (!stack.empty() && stack.back() == link) stack.pop_back();
-        continue;
-      }
-      if (colour[link] == 2) continue;
-      colour[link] = 1;
-      stack.push_back(link);
-      work.push_back({link, true});
-      const auto it = edges.find(link);
-      if (it == edges.end()) continue;
-      for (const long long next : it->second) {
-        if (colour[next] == 1) {
-          // Back edge: reconstruct the cycle from the grey stack.
-          std::string cycle;
-          bool in_cycle = false;
-          int shown = 0;
-          for (const long long l : stack) {
-            if (l == next) in_cycle = true;
-            if (!in_cycle) continue;
-            if (shown++ > 8) {
-              cycle += " -> ...";
-              break;
-            }
-            cycle += (cycle.empty() ? "" : " -> ") + link_name(l);
-          }
-          cycle += " -> " + link_name(next);
-          engine.add({"noc.deadlock",
-                      Severity::kError,
-                      {ctx.file(), 0, "noc"},
-                      "the route function admits a channel dependency "
-                      "cycle: " + cycle,
-                      "use dimension-ordered (XY) routing or add virtual "
-                      "channels"});
-          return;
-        }
-        if (colour[next] == 0) work.push_back({next, false});
-      }
+  // Show at most 9 links of the cycle, then close it on its first link.
+  std::string cycle;
+  for (std::size_t i = 0; i + 1 < walk.size(); ++i) {
+    if (i > 8) {
+      cycle += " -> ...";
+      break;
     }
-    stack.clear();
+    cycle += (cycle.empty() ? "" : " -> ") + link_name(walk[i]);
   }
+  cycle += " -> " + link_name(walk.back());
+  engine.add({"noc.deadlock",
+              Severity::kError,
+              {ctx.file(), 0, "noc"},
+              "the route function admits a channel dependency cycle: " +
+                  cycle,
+              "use dimension-ordered (XY) routing or add virtual "
+              "channels"});
 }
 
 void check_queue_gating(LintContext& ctx, DiagnosticEngine& engine) {
@@ -592,10 +580,9 @@ void check_lock_order(LintContext& ctx, DiagnosticEngine& engine) {
       }
     }
   }
-  // Cycle search shared with the racecheck lock-order pass
-  // (lint/cycle.hpp): map tile ids onto dense vertices and look for one
-  // closed walk — a cycle means two threads can each hold a lock the
-  // other needs.
+  // Cycle search shared with the noc.deadlock rule (lint/cycle.hpp):
+  // map tile ids onto dense vertices and look for one closed walk — a
+  // cycle means two threads can each hold a lock the other needs.
   std::vector<int> tiles;
   std::map<int, int> vertex_of;
   auto vertex = [&](int tile) {
@@ -1318,42 +1305,6 @@ void check_exec_cache_size_bounds(LintContext& ctx,
   }
 }
 
-/// Host hardware-thread count, overridable for deterministic tests.
-unsigned lint_hardware_threads() {
-  if (const char* env = std::getenv("PRESP_LINT_HW_THREADS")) {
-    const long long value = std::atoll(env);
-    if (value > 0) return static_cast<unsigned>(value);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-void check_exec_racecheck_overhead(LintContext& ctx,
-                                   DiagnosticEngine& engine) {
-  const Config& raw = ctx.raw();
-  if (!raw.get_bool_or("exec", "racecheck", false)) return;
-  if (!raw.has("exec", "threads")) return;
-  const long long threads = raw.get_int_or("exec", "threads", 1);
-  const unsigned hw = lint_hardware_threads();
-  if (threads <= static_cast<long long>(hw)) return;
-  // Every annotation funnels through one detector mutex, so racecheck
-  // serializes oversubscribed workers that would otherwise time-slice —
-  // the run degenerates to a convoy and tells you nothing extra: the
-  // detector's verdicts are schedule-independent anyway.
-  engine.add({"exec.racecheck-overhead",
-              Severity::kWarning,
-              {ctx.file(), ctx.line_of("exec", "threads"), "exec"},
-              "racecheck is enabled with " + std::to_string(threads) +
-                  " threads on a " + std::to_string(hw) +
-                  "-hardware-thread host: annotation hooks serialize on "
-                  "the detector lock, so oversubscription only adds "
-                  "convoy overhead without finding more races",
-              "lower [exec] threads to at most " + std::to_string(hw) +
-                  " while racecheck is on (detection does not depend on "
-                  "the schedule), or rely on the seeded fuzzer for "
-                  "interleaving coverage"});
-}
-
 // ------------------------------------------------- artifact-gate rules
 
 void force_parse(LintContext& ctx, DiagnosticEngine&) {
@@ -1573,24 +1524,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            "with cache_dir",
            Severity::kError},
           check_exec_cache_size_bounds);
-    r.add({"exec.racecheck-overhead", "exec",
-           "racecheck is not combined with thread oversubscription "
-           "(annotations serialize on the detector lock)",
-           Severity::kWarning},
-          check_exec_racecheck_overhead);
-    // race (catalog-only: emitted by racecheck::Detector)
-    r.add({"race.data-race", "race",
-           "two annotated accesses, at least one a write, unordered by "
-           "happens-before",
-           Severity::kError});
-    r.add({"race.lockset", "race",
-           "accesses are ordered today but no single lock guards them "
-           "(inconsistent lock discipline)",
-           Severity::kWarning});
-    r.add({"race.lock-order", "race",
-           "observed + declared lock acquisition graph is acyclic "
-           "(no latent deadlock)",
-           Severity::kWarning});
     // pnr (catalog-only: emitted by pnr::verify_placement)
     r.add({"pnr.unplaced-cell", "pnr",
            "every cell has a valid placement location", Severity::kError});

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "racecheck/annot.hpp"
-
 namespace presp::ops {
 
 SseRing::SseRing(std::size_t capacity)
@@ -18,13 +16,9 @@ bool SseRing::push(SseEvent event) {
     return false;
   }
   // The acquire-load of tail_ above is what licenses reusing the slot
-  // the consumer freed; mirror that edge for racecheck.
-  annot::AtomicConsume(&tail_, "ops.sse.ring-free");
-  PRESP_RC_WRITE(&slots_[head % slots_.size()], "ops.sse.slot");
+  // the consumer freed.
   slots_[head % slots_.size()] = std::move(event);
-  // Release-publish the slot to the consumer (racecheck sees the same
-  // edge through the annotation pair).
-  annot::AtomicPublish(this, "ops.sse.ring");
+  // Release-publish the slot to the consumer.
   head_.store(head + 1, std::memory_order_release);
   return true;
 }
@@ -33,12 +27,9 @@ bool SseRing::pop(SseEvent* out) {
   const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
   if (tail == head) return false;
-  annot::AtomicConsume(this, "ops.sse.ring");
-  PRESP_RC_READ(&slots_[tail % slots_.size()], "ops.sse.slot");
   *out = std::move(slots_[tail % slots_.size()]);
-  // Release the slot back to the producer (paired with the consume in
-  // push() the same way the release-store below pairs with its acquire).
-  annot::AtomicPublish(&tail_, "ops.sse.ring-free");
+  // Release the slot back to the producer (paired with the acquire-load
+  // of tail_ in push()).
   tail_.store(tail + 1, std::memory_order_release);
   return true;
 }

@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "ops/sources.hpp"
-#include "racecheck/annot.hpp"
 #include "trace/metrics.hpp"
 
 namespace presp::ops {
@@ -192,7 +191,6 @@ void OpsServer::handle_connection(int fd) {
 }
 
 void OpsServer::handle_sse(int fd) {
-  const annot::Scope scope("ops.sse.consumer");
   sse_clients_.fetch_add(1, std::memory_order_relaxed);
   trace::MetricsRegistry::global().gauge("ops.sse.clients").set(
       static_cast<double>(hub_.clients() + 1));
@@ -211,7 +209,6 @@ void OpsServer::handle_sse(int fd) {
 }
 
 void OpsServer::pump_loop() {
-  const annot::Scope scope("ops.sse.pump");
   trace::MetricsSnapshot prev = trace::MetricsRegistry::global().snapshot();
   std::string prev_health;
   while (running_.load(std::memory_order_acquire)) {

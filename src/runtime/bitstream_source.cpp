@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "exec/thread_pool.hpp"
-#include "racecheck/annot.hpp"
 #include "util/error.hpp"
 
 namespace presp::runtime {
@@ -88,13 +87,8 @@ std::future<std::vector<std::uint8_t>> FileBitstreamSource::fetch(
     int tile, const std::string& module) {
   const std::string path = path_for(tile, module);
   auto read = [this, path] {
-    const annot::Scope scope("store.async-read");
     std::vector<std::uint8_t> data = read_file(path);
     reads_.fetch_add(1, std::memory_order_relaxed);
-    // Future hand-off half: the promise/future pair orders the payload,
-    // and this orders it for racecheck (the waiter consumes in fetch()'s
-    // caller via the returned future's get()).
-    annot::AtomicPublish(this, "store.read");
     return data;
   };
   if (pool_ == nullptr) {

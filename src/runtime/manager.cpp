@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "racecheck/annot.hpp"
 #include "soc/tiles.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
@@ -64,18 +63,7 @@ ReconfigurationManager::ReconfigurationManager(soc::Soc& soc,
       staging_sem_(soc.kernel(),
                    static_cast<std::uint32_t>(
                        std::max(options.staging_slots, 1))),
-      reg_lock_(soc.kernel(), 1), backoff_rng_(options.backoff_seed) {
-  // The manager's semaphores are coroutine locks multiplexed onto one OS
-  // thread, so racecheck's dynamic held-set would conflate interleaved
-  // logical processes; declare the static nesting instead. Observed
-  // orders: program path holds the tile lock across the prc and register
-  // stages, the fetch stage nests the register update, and the pipelined
-  // path overlaps fetch with the previous request's prc stage.
-  annot::DeclareLockNesting("runtime.tile", "runtime.prc");
-  annot::DeclareLockNesting("runtime.tile", "runtime.reg");
-  annot::DeclareLockNesting("runtime.prc", "runtime.reg");
-  annot::DeclareLockNesting("runtime.fetch", "runtime.reg");
-}
+      reg_lock_(soc.kernel(), 1), backoff_rng_(options.backoff_seed) {}
 
 sim::Time ReconfigurationManager::backoff(int attempt) {
   return jittered_backoff(options_.backoff_base_cycles, attempt,

@@ -191,6 +191,32 @@ struct ManagerStats {
   int max_queue_depth = 0;
 };
 
+/// The manager's semaphores, as vertices of the lock-nesting table below.
+enum class ManagerLock { kTile, kPrc, kFetch, kReg };
+inline constexpr int kManagerLockCount = 4;
+
+/// One declared nesting edge: `inner` may be acquired while `outer` is
+/// held.
+struct LockNesting {
+  ManagerLock outer;
+  ManagerLock inner;
+};
+
+/// The manager's semaphores are coroutine locks multiplexed onto one OS
+/// thread, so a thread-level checker (TSan included) would conflate
+/// interleaved logical processes and never sees their order; the nesting
+/// is declared statically instead, and runtime_test checks it is acyclic
+/// with lint::find_cycle. Observed orders: the program path holds the
+/// tile lock across the prc and register stages, the fetch stage nests
+/// the register update, and the pipelined path overlaps fetch with the
+/// previous request's prc stage.
+inline constexpr LockNesting kManagerLockNesting[] = {
+    {ManagerLock::kTile, ManagerLock::kPrc},
+    {ManagerLock::kTile, ManagerLock::kReg},
+    {ManagerLock::kPrc, ManagerLock::kReg},
+    {ManagerLock::kFetch, ManagerLock::kReg},
+};
+
 class ReconfigurationManager {
  public:
   ReconfigurationManager(soc::Soc& soc, BitstreamStore& store,

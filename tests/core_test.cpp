@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
 #include "core/reference_designs.hpp"
@@ -20,13 +22,28 @@ const auto* const kEnv =
 
 // ------------------------------------------------------------- metrics
 
+// gtest prints a parameter that has no PrintTo overload as its raw
+// bytes, and ctest registers each case under that text. The implicit
+// padding after `soc` and `cls` is therefore spelled out and zeroed, so
+// the case names cannot pick up stack garbage and change from build to
+// build.
 struct MetricsCase {
+  MetricsCase(int soc_, double kappa_, double alpha_, double gamma_,
+              DesignClass cls_)
+      : soc(soc_), kappa(kappa_), alpha(alpha_), gamma(gamma_), cls(cls_) {}
+
   int soc;
+  std::int32_t soc_pad = 0;
   double kappa;
   double alpha;
   double gamma;
   DesignClass cls;
+  std::int32_t cls_pad = 0;
 };
+static_assert(sizeof(MetricsCase) ==
+                  2 * sizeof(int) + 3 * sizeof(double) +
+                      sizeof(DesignClass) + sizeof(std::int32_t),
+              "MetricsCase must have no implicit padding bytes");
 
 class CharacterizationMetrics
     : public ::testing::TestWithParam<MetricsCase> {};

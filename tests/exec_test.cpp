@@ -1,14 +1,18 @@
 // Unit tests for the task-level execution engine: work-stealing pool,
 // deterministically-chunked parallel_for, nested fork-join groups, and the
 // TaskGraph DAG scheduler (dependencies, priorities, cancellation,
-// exception propagation, per-task timing).
+// exception propagation, per-task timing). The tsan stage reruns this
+// suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -95,10 +99,14 @@ TEST(ParallelFor, ChunkIndexedReductionIsBitIdentical) {
     return sum;
   };
   ThreadPool two(2);
+  ThreadPool three(3);
   ThreadPool eight(8);
   const double serial = reduce_with(nullptr);
   EXPECT_EQ(serial, reduce_with(&two));
   EXPECT_EQ(serial, reduce_with(&eight));
+  // Repeated fork-join on one pool: every run must see every chunk.
+  for (int run = 0; run < 32; ++run)
+    EXPECT_EQ(serial, reduce_with(&three)) << "run " << run;
 }
 
 TEST(TaskGroup, NestedForkJoinFromInsideAPoolTask) {
@@ -124,6 +132,25 @@ TEST(TaskGroup, NullPoolRunsInline) {
   group.run([&] { EXPECT_EQ(order++, 1); });
   group.wait();
   EXPECT_EQ(order, 2);
+}
+
+// Regression for the TaskGroup destroy-while-notify bug: the last task
+// used to decrement and notify cv_ without holding the group's mutex, so
+// a waiter that saw zero could destroy the group while the notify still
+// ran. Stack-local groups destroyed right after wait() keep that window
+// open on every iteration; under TSan a regression is a reported race.
+TEST(TaskGroup, DestroyRightAfterWaitIsSafe) {
+  ThreadPool pool(4);
+  std::atomic<long long> ran{0};
+  constexpr int kIterations = 2000;
+  constexpr int kTasks = 8;
+  for (int it = 0; it < kIterations; ++it) {
+    TaskGroup group(&pool);
+    for (int t = 0; t < kTasks; ++t)
+      group.run([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    group.wait();
+  }
+  EXPECT_EQ(ran.load(), static_cast<long long>(kIterations) * kTasks);
 }
 
 TEST(TaskGraph, DiamondDependenciesRespected) {
@@ -162,33 +189,91 @@ TEST(TaskGraph, SerialRunFollowsPriorityThenInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 0}));
 }
 
+// Cancellation and exception sweeps over a chain: when node kTrigger
+// cancels (or throws), nodes before it have run and nodes after it were
+// never released, so the done/cancelled/failed sets are exact whatever
+// the executor, pool width or schedule. Width 0 is the serial executor.
+constexpr std::size_t kChain = 12;
+constexpr std::size_t kTrigger = 5;
+constexpr int kRepeats = 16;
+constexpr int kWidths[] = {0, 1, 3, 8};
+
+/// Adds nodes n0 -> n1 -> ... -> n{kChain-1}, each running body(index).
+template <typename Body>
+void add_chain(TaskGraph& graph, const Body& body) {
+  TaskId prev = 0;
+  for (std::size_t i = 0; i < kChain; ++i) {
+    std::vector<TaskId> deps;
+    if (i > 0) deps.push_back(prev);
+    prev = graph.add(
+        "n" + std::to_string(i), [&body, i] { body(i); }, deps);
+  }
+}
+
+std::set<TaskId> ids_with(const TaskGraph& graph, TaskStatus status) {
+  std::set<TaskId> ids;
+  for (TaskId id = 0; id < graph.size(); ++id)
+    if (graph.report(id).status == status) ids.insert(id);
+  return ids;
+}
+
+/// The ids in [lo, hi).
+std::set<TaskId> ids_in(TaskId lo, TaskId hi) {
+  std::set<TaskId> ids;
+  for (TaskId id = lo; id < hi; ++id) ids.insert(id);
+  return ids;
+}
+
 TEST(TaskGraph, CancelSkipsNotYetStartedTasks) {
-  TaskGraph graph;
-  int ran = 0;
-  const TaskId first = graph.add("first", [&] {
-    ++ran;
-    graph.cancel();
-  });
-  const TaskId second = graph.add("second", [&] { ++ran; }, {first});
-  const TaskId third = graph.add("third", [&] { ++ran; }, {second});
-  graph.run(nullptr);
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(graph.cancelled());
-  EXPECT_EQ(graph.report(first).status, TaskStatus::kDone);
-  EXPECT_EQ(graph.report(second).status, TaskStatus::kCancelled);
-  EXPECT_EQ(graph.report(third).status, TaskStatus::kCancelled);
+  for (const int width : kWidths) {
+    std::unique_ptr<ThreadPool> pool;
+    if (width > 0) pool = std::make_unique<ThreadPool>(width);
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      SCOPED_TRACE("width " + std::to_string(width) + " rep " +
+                   std::to_string(rep));
+      TaskGraph graph;
+      // Not atomic: the chain's dependency edges must order every
+      // increment (TSan checks this in the tsan stage).
+      std::size_t ran = 0;
+      const auto body = [&graph, &ran](std::size_t i) {
+        ++ran;
+        if (i == kTrigger) graph.cancel();
+      };
+      add_chain(graph, body);
+      graph.run(pool.get());
+      EXPECT_EQ(ran, kTrigger + 1);
+      EXPECT_TRUE(graph.cancelled());
+      EXPECT_EQ(ids_with(graph, TaskStatus::kDone), ids_in(0, kTrigger + 1));
+      EXPECT_EQ(ids_with(graph, TaskStatus::kCancelled),
+                ids_in(kTrigger + 1, kChain));
+      EXPECT_TRUE(ids_with(graph, TaskStatus::kFailed).empty());
+    }
+  }
 }
 
 TEST(TaskGraph, FirstExceptionCancelsRestAndRethrows) {
-  TaskGraph graph;
-  int ran = 0;
-  const TaskId boom = graph.add(
-      "boom", [] { throw std::runtime_error("synthesis failed"); });
-  const TaskId after = graph.add("after", [&] { ++ran; }, {boom});
-  EXPECT_THROW(graph.run(nullptr), std::runtime_error);
-  EXPECT_EQ(ran, 0);
-  EXPECT_EQ(graph.report(boom).status, TaskStatus::kFailed);
-  EXPECT_EQ(graph.report(after).status, TaskStatus::kCancelled);
+  for (const int width : kWidths) {
+    std::unique_ptr<ThreadPool> pool;
+    if (width > 0) pool = std::make_unique<ThreadPool>(width);
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      SCOPED_TRACE("width " + std::to_string(width) + " rep " +
+                   std::to_string(rep));
+      TaskGraph graph;
+      std::size_t ran = 0;
+      const auto body = [&ran](std::size_t i) {
+        if (i == kTrigger) throw std::runtime_error("synthesis failed");
+        ++ran;
+      };
+      add_chain(graph, body);
+      EXPECT_THROW(graph.run(pool.get()), std::runtime_error);
+      EXPECT_EQ(ran, kTrigger);
+      EXPECT_EQ(ids_with(graph, TaskStatus::kDone), ids_in(0, kTrigger));
+      EXPECT_EQ(ids_with(graph, TaskStatus::kFailed),
+                ids_in(kTrigger, kTrigger + 1));
+      EXPECT_EQ(ids_with(graph, TaskStatus::kCancelled),
+                ids_in(kTrigger + 1, kChain));
+    }
+  }
 }
 
 TEST(TaskGraph, ExceptionPropagatesFromPoolRun) {

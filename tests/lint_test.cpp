@@ -13,6 +13,7 @@
 
 #include "core/reference_designs.hpp"
 #include "lint/context.hpp"
+#include "lint/cycle.hpp"
 #include "lint/diagnostic.hpp"
 #include "lint/rules.hpp"
 #include "wami/accelerators.hpp"
@@ -435,6 +436,24 @@ TEST(FloorplanLintTest, RelocatableFootprintNeedsTheRepackerOptIn) {
       has_rule(run_context(context), "floorplan.relocatable-footprint"));
 }
 
+// ---------------------------------------------------- shared cycle DFS
+
+TEST(CycleTest, FindsClosedWalkAndHandlesAcyclic) {
+  // 0 -> 1 -> 2 -> 0 plus an acyclic tail.
+  const std::vector<std::vector<int>> cyclic{{1}, {2}, {0}, {0}};
+  const std::vector<int> cycle = lint::find_cycle(cyclic);
+  ASSERT_GE(cycle.size(), 3u);
+  EXPECT_EQ(cycle.front(), cycle.back());
+
+  const std::vector<std::vector<int>> acyclic{{1}, {2}, {}};
+  EXPECT_TRUE(lint::find_cycle(acyclic).empty());
+
+  const std::vector<std::vector<int>> self{{0}};
+  const std::vector<int> loop = lint::find_cycle(self);
+  ASSERT_EQ(loop.size(), 2u);
+  EXPECT_EQ(loop[0], loop[1]);
+}
+
 // ---------------------------------------------------------- noc rules
 
 TEST(NocLintTest, XyRoutingIsDeadlockFree) {
@@ -456,6 +475,36 @@ TEST(NocLintTest, CyclicRoutesAreFlaggedAsDeadlock) {
   context.override_routes(std::move(table));
   const auto diags = run_context(context);
   ASSERT_TRUE(has_rule(diags, "noc.deadlock"));
+  for (const Diagnostic& d : diags) {
+    if (d.rule != "noc.deadlock") continue;
+    EXPECT_EQ(d.message,
+              "the route function admits a channel dependency cycle: "
+              "(0->1) -> (1->4) -> (4->3) -> (3->0) -> (0->1)");
+  }
+}
+
+TEST(NocLintTest, LongDeadlockCycleIsTruncatedAfterNineLinks) {
+  LintContext context(kCleanSoc);
+  lint::RouteTable table = context.routes();
+  // An 11-link ring through every tile of the 2x3 mesh, built from
+  // two-hop routes: 0-1-2-3-4-5-0-2-4-1-3-0.
+  const int t = table.num_tiles();
+  const std::vector<std::vector<int>> ring{
+      {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {4, 5, 0}, {5, 0, 2},
+      {0, 2, 4}, {2, 4, 1}, {4, 1, 3}, {1, 3, 0}, {3, 0, 1}};
+  for (const auto& route : ring)
+    table.routes[static_cast<std::size_t>(route.front() * t +
+                                          route.back())] = route;
+  context.override_routes(std::move(table));
+  const auto diags = run_context(context);
+  ASSERT_TRUE(has_rule(diags, "noc.deadlock"));
+  for (const Diagnostic& d : diags) {
+    if (d.rule != "noc.deadlock") continue;
+    EXPECT_EQ(d.message,
+              "the route function admits a channel dependency cycle: "
+              "(0->1) -> (1->2) -> (2->3) -> (3->4) -> (4->5) -> (5->0) "
+              "-> (0->2) -> (2->4) -> (4->1) -> ... -> (0->1)");
+  }
 }
 
 TEST(NocLintTest, MissingDecouplerBreaksQueueGating) {
@@ -889,43 +938,6 @@ TEST(ExecLintTest, CapWithoutCacheDirIsAWarning) {
   for (const Diagnostic& d : diags)
     if (d.rule == "exec.cache-size-bounds")
       EXPECT_EQ(d.severity, Severity::kWarning);
-}
-
-/// Pins the hardware-thread count the overhead rule sees, so the tests
-/// do not depend on the build host.
-class HwThreadsGuard {
- public:
-  explicit HwThreadsGuard(const char* count) {
-    ::setenv("PRESP_LINT_HW_THREADS", count, 1);
-  }
-  ~HwThreadsGuard() { ::unsetenv("PRESP_LINT_HW_THREADS"); }
-};
-
-TEST(ExecLintTest, RacecheckWithOversubscriptionWarns) {
-  const HwThreadsGuard hw("4");
-  const auto diags =
-      run_lint(with_exec("racecheck = true\nthreads = 8\n"));
-  ASSERT_TRUE(has_rule(diags, "exec.racecheck-overhead"));
-  EXPECT_FALSE(has_error(diags));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "exec.racecheck-overhead") {
-      EXPECT_EQ(d.severity, Severity::kWarning);
-      EXPECT_NE(d.message.find("4-hardware-thread"), std::string::npos);
-      EXPECT_FALSE(d.fix_hint.empty());
-    }
-}
-
-TEST(ExecLintTest, RacecheckWithinHardwareThreadsIsClean) {
-  const HwThreadsGuard hw("4");
-  const auto diags =
-      run_lint(with_exec("racecheck = true\nthreads = 4\n"));
-  EXPECT_FALSE(has_rule(diags, "exec.racecheck-overhead"));
-}
-
-TEST(ExecLintTest, OversubscriptionWithoutRacecheckIsClean) {
-  const HwThreadsGuard hw("4");
-  const auto diags = run_lint(with_exec("threads = 64\n"));
-  EXPECT_FALSE(has_rule(diags, "exec.racecheck-overhead"));
 }
 
 // --------------------------------------- shipped designs stay clean

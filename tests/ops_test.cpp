@@ -192,8 +192,7 @@ TEST(SseWireTest, FrameParserRoundTripSkipsComments) {
 
 // The endpoint contract: readers take snapshots while writer threads
 // keep mutating, and every read is internally consistent. Run under
-// TSan/racecheck (tier-1) this is the data-race regression for the
-// observer path.
+// TSan (tier-1) this is the data-race regression for the observer path.
 TEST(SnapshotUnderMutationTest, MetricsRegistrySnapshotsStayConsistent) {
   trace::MetricsRegistry registry;
   constexpr int kWriters = 4;

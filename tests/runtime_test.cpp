@@ -4,7 +4,13 @@
 #include <sanitizer/lsan_interface.h>
 #endif
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
+#include "lint/cycle.hpp"
 #include "runtime/api.hpp"
+#include "runtime/manager.hpp"
 #include "util/error.hpp"
 
 namespace presp::runtime {
@@ -224,6 +230,40 @@ TEST(BitstreamStoreTest, PayloadCopiedIntoKernelMemory) {
   const auto stored = mem.bytes(image.address, 128);
   for (std::size_t i = 0; i < payload.size(); ++i)
     EXPECT_EQ(stored[i], payload[i]);
+}
+
+// The manager's declared semaphore nesting, as a digraph over ManagerLock
+// vertices (outer -> inner).
+std::vector<std::vector<int>> nesting_graph(
+    const std::vector<LockNesting>& edges) {
+  std::vector<std::vector<int>> adjacency(kManagerLockCount);
+  for (const LockNesting& e : edges)
+    adjacency[static_cast<std::size_t>(e.outer)].push_back(
+        static_cast<int>(e.inner));
+  return adjacency;
+}
+
+TEST(LockNestingTest, ManagerNestingIsAcyclic) {
+  const std::vector<LockNesting> edges(std::begin(kManagerLockNesting),
+                                       std::end(kManagerLockNesting));
+  ASSERT_EQ(edges.size(), 4u);
+  EXPECT_TRUE(lint::find_cycle(nesting_graph(edges)).empty());
+}
+
+TEST(LockNestingTest, InvertedRegToTileEdgeClosesACycle) {
+  std::vector<LockNesting> edges(std::begin(kManagerLockNesting),
+                                 std::end(kManagerLockNesting));
+  edges.push_back({ManagerLock::kReg, ManagerLock::kTile});
+  const std::vector<int> cycle = lint::find_cycle(nesting_graph(edges));
+  ASSERT_GE(cycle.size(), 3u);
+  EXPECT_EQ(cycle.front(), cycle.back());
+  const auto on_cycle = [&cycle](ManagerLock lock) {
+    return std::find(cycle.begin(), cycle.end(), static_cast<int>(lock)) !=
+           cycle.end();
+  };
+  EXPECT_TRUE(on_cycle(ManagerLock::kReg));
+  EXPECT_TRUE(on_cycle(ManagerLock::kTile));
+  EXPECT_FALSE(on_cycle(ManagerLock::kFetch));
 }
 
 }  // namespace

@@ -35,12 +35,12 @@ if command -v "$CLANG_TIDY" >/dev/null 2>&1; then
   if ! "$CLANG_TIDY" -p "$BUILD_DIR" --quiet $files; then
     status=1
   fi
-  # Focused concurrency pass over the layers the race detector guards:
+  # Focused concurrency pass over the thread-pool and fleet layers:
   # the general run above uses the repo .clang-tidy profile; this one
   # forces the concurrency-* and bugprone-* families on so a profile
   # edit can never silently drop them for the lock-free core.
   echo "== clang-tidy (concurrency-*, bugprone-* over src/exec src/fleet) =="
-  conc_files=$(find src/exec src/fleet src/racecheck -name '*.cpp' | sort)
+  conc_files=$(find src/exec src/fleet -name '*.cpp' | sort)
   if ! "$CLANG_TIDY" -p "$BUILD_DIR" --quiet \
       --checks='-*,concurrency-*,bugprone-*' \
       --warnings-as-errors='concurrency-*,bugprone-*' $conc_files; then

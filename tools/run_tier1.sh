@@ -22,11 +22,6 @@
 #              repacker-off even with kRepackAbort faults armed, and the
 #              repack-on replay must be deterministic; frag-before/after
 #              and the migration count land in the summary
-#   racecheck  seeded race-detector corpus gate (presp-racecheck): every
-#              intentionally-racy workload must report its expected
-#              race.* rule within 8 seeds, and the clean exec/runtime/
-#              fleet/store workloads must stay silent across a 32-seed
-#              schedule-fuzzer sweep; finding counts land in the summary
 #   ops        live ops plane gate: the ops_test suite (HTTP endpoints,
 #              SSE fan-out, snapshot-under-mutation), a fleet soak with
 #              the embedded server live (8 SSE clients, one deliberately
@@ -36,7 +31,10 @@
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
 #   tsan       ThreadSanitizer build running the Chase-Lev deque stress
 #              tests (owner pop vs concurrent thieves), the exec unit
-#              tests, the serial/parallel determinism test, the trace
+#              tests (TaskGraph cancel/exception sweeps over pool widths,
+#              the TaskGroup destroy-after-wait stress), the serial/
+#              parallel determinism test, the store tests (async
+#              bitstream reads on the thread pool), the trace
 #              tests (concurrent emitters), the fleet tests, the ops
 #              tests (server + registries under real threads) and the
 #              dynamic-floorplan + repacker tests (compaction racing a
@@ -67,7 +65,7 @@ TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 CONFIG_FLAGS=${CONFIG_FLAGS:-}
 TIER1_SUMMARY=${TIER1_SUMMARY:-tier1_summary.json}
 
-ALL_STAGES="build lint trace workflows fleet defrag racecheck ops asan tsan"
+ALL_STAGES="build lint trace workflows fleet defrag ops asan tsan"
 
 # ----------------------------------------------------------------- stages
 # Each stage body runs in a `set -e` subshell; any failing command fails
@@ -221,34 +219,6 @@ stage_defrag() {
       "$migrations migrations ($DEFRAG_JSON)"
 }
 
-stage_racecheck() {
-  cmake --build "$BUILD_DIR" --target presp-racecheck -j
-  RC_BIN="$BUILD_DIR/tools/presp-racecheck"
-  RC_SUMMARY="$BUILD_DIR/tier1_racecheck.json"
-  RC_SARIF="$BUILD_DIR/tier1_racecheck.sarif"
-  # Regression gate over the seeded corpus: every racy workload must
-  # report its expected race.* rule within 8 seeds and every clean
-  # workload must stay silent (presp-racecheck exits 2 on a mismatch).
-  "$RC_BIN" --all --seeds 8 --expect --stats \
-      --format sarif --out "$RC_SARIF" --summary-json "$RC_SUMMARY"
-  if grep -q '"hooks_compiled":false' "$RC_SUMMARY"; then
-    echo "tier-1 racecheck: hooks compiled out (-DPRESP_RACECHECK=OFF)," \
-        "corpus gate skipped"
-    return 0
-  fi
-  # Clean suite again under the wider sweep: the exec/runtime/fleet/store
-  # instrumentation must stay race-clean under 32 perturbed schedules.
-  clean_args=$("$RC_BIN" --list |
-      awk -F'\t' '$2 == "clean" { printf "--workload %s ", $1 }')
-  # shellcheck disable=SC2086  # one flag pair per clean workload
-  "$RC_BIN" $clean_args --seeds 32 --expect >/dev/null
-  # Surface the finding counts into tier1_summary.json (runner merges
-  # this fragment into the stage row).
-  sed 's/^{"hooks_compiled":true,//; s/}$//' "$RC_SUMMARY" \
-      > .tier1_stage_extra
-  echo "tier-1 racecheck: corpus gate clean ($RC_SUMMARY, $RC_SARIF)"
-}
-
 stage_ops() {
   cmake --build "$BUILD_DIR" --target ops_test bench_fleet presp-lint -j
 
@@ -323,11 +293,12 @@ stage_asan() {
 stage_tsan() {
   cmake -B "$TSAN_BUILD_DIR" -S . -DPRESP_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD_DIR" \
-      --target chase_lev_test exec_test exec_determinism_test trace_test \
-      fleet_test ops_test dynamic_floorplan_test repacker_test -j
+      --target chase_lev_test exec_test exec_determinism_test store_test \
+      trace_test fleet_test ops_test dynamic_floorplan_test repacker_test -j
   "$TSAN_BUILD_DIR"/tests/chase_lev_test
   "$TSAN_BUILD_DIR"/tests/exec_test
   "$TSAN_BUILD_DIR"/tests/exec_determinism_test
+  "$TSAN_BUILD_DIR"/tests/store_test
   "$TSAN_BUILD_DIR"/tests/trace_test
   "$TSAN_BUILD_DIR"/tests/fleet_test
   "$TSAN_BUILD_DIR"/tests/ops_test
@@ -392,10 +363,14 @@ for stage in $SELECTED; do
   echo "== tier-1 stage: $stage =="
   rm -f .tier1_stage_extra
   stage_start=$(date +%s)
-  if (
+  # Not inside `if`: the shell ignores `set -e` in a condition, which
+  # would let every command but a stage's last one fail unnoticed.
+  (
     set -e
     "stage_$stage"
-  ); then
+  )
+  stage_status=$?
+  if [ "$stage_status" -eq 0 ]; then
     status=pass
   else
     status=fail
@@ -404,7 +379,7 @@ for stage in $SELECTED; do
     echo "tier-1: stage '$stage' FAILED" >&2
   fi
   stage_seconds=$(($(date +%s) - stage_start))
-  # A stage may leave extra JSON fields (e.g. racecheck finding counts)
+  # A stage may leave extra JSON fields (e.g. defrag frag ratios)
   # in .tier1_stage_extra; merge them into its summary row.
   stage_extra=""
   if [ -s .tier1_stage_extra ]; then
