@@ -62,12 +62,8 @@ void ThreadPool::submit(std::function<void()> fn) {
   const int w = (t_pool == this) ? t_worker : -1;
   if (w >= 0) {
     Worker& worker = *workers_[static_cast<std::size_t>(w)];
-    if (options_.mutex_deques) {
-      std::lock_guard<std::mutex> lock(worker.mutex);
-      worker.mutex_deque.push_back(task);
-    } else {
-      worker.deque.push(task);
-    }
+    std::lock_guard<std::mutex> lock(worker.mutex);
+    worker.deque.push_back(task);
   } else {
     std::lock_guard<std::mutex> lock(injection_mutex_);
     injection_.push_back(task);
@@ -81,26 +77,20 @@ void ThreadPool::submit(std::function<void()> fn) {
 
 ThreadPool::Task* ThreadPool::pop_own(int worker) {
   Worker& own = *workers_[static_cast<std::size_t>(worker)];
-  if (options_.mutex_deques) {
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (own.mutex_deque.empty()) return nullptr;
-    Task* task = own.mutex_deque.back();
-    own.mutex_deque.pop_back();
-    return task;
-  }
-  return own.deque.pop();
+  std::lock_guard<std::mutex> lock(own.mutex);
+  if (own.deque.empty()) return nullptr;
+  Task* task = own.deque.back();
+  own.deque.pop_back();
+  return task;
 }
 
 ThreadPool::Task* ThreadPool::steal_from(int victim) {
   Worker& slot = *workers_[static_cast<std::size_t>(victim)];
-  if (options_.mutex_deques) {
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.mutex_deque.empty()) return nullptr;
-    Task* task = slot.mutex_deque.front();
-    slot.mutex_deque.pop_front();
-    return task;
-  }
-  return slot.deque.steal();
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  if (slot.deque.empty()) return nullptr;
+  Task* task = slot.deque.front();
+  slot.deque.pop_front();
+  return task;
 }
 
 void ThreadPool::count_steal_failure(int worker) {
@@ -127,7 +117,8 @@ ThreadPool::Task* ThreadPool::take(int worker) {
   }
   // 3. Steal from siblings, oldest first (largest remaining work),
   // same-NUMA-node victims first. No tracing in here: this is the hot
-  // spin path and must not take locks or touch the trace buffers.
+  // spin path; it holds one victim's deque lock at a time and must not
+  // touch the trace buffers.
   const int n = static_cast<int>(workers_.size());
   if (worker >= 0) {
     Worker& own = *workers_[static_cast<std::size_t>(worker)];

@@ -8,15 +8,12 @@
 // (FIFO: oldest, usually largest work) or the injection queue. Threads
 // submitting from outside the pool land in the injection queue.
 //
-// The per-worker deques are Chase-Lev lock-free deques (chase_lev.hpp):
-// the owner's push/pop touch no lock and no contended cache line on the
-// fast path; thieves synchronize through one CAS on the victim's `top`.
-// Victims are visited in topology order — same-NUMA-node workers first —
-// and workers are best-effort pinned to CPUs when the host has enough of
-// them (exec/topology.hpp). The pre-PR mutex-guarded deques survive as a
-// baseline for A/B measurement: per pool via Options::mutex_deques, or
-// build-wide with -DPRESP_EXEC_MUTEX_DEQUE=ON (bench_micro --contention
-// compares both in one binary).
+// Each per-worker deque is a std::deque guarded by its own mutex. The
+// flow's pools run a few dozen coarse tasks (one per strategy group or
+// stage), so steals are rare and an uncontended lock costs nothing that
+// shows end to end. Victims are visited in topology order — same-NUMA-node
+// workers first — and workers are best-effort pinned to CPUs when the host
+// has enough of them (exec/topology.hpp).
 //
 // Determinism contract: the pool never promises an execution *order*, so
 // tasks must be data-independent (or ordered via TaskGraph dependencies)
@@ -37,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/chase_lev.hpp"
 #include "trace/trace.hpp"
 
 namespace presp::exec {
@@ -46,15 +42,6 @@ class ThreadPool {
  public:
   struct Options {
     int threads = 1;
-    /// Fall back to the mutex-guarded per-worker deques (the pre-Chase-Lev
-    /// implementation). Kept for A/B contention measurement; defaults to
-    /// the build-time PRESP_EXEC_MUTEX_DEQUE flag.
-    bool mutex_deques =
-#if defined(PRESP_EXEC_MUTEX_DEQUE)
-        true;
-#else
-        false;
-#endif
     /// Pin workers round-robin to CPUs (no-op when the host has fewer
     /// CPUs than workers, or off Linux).
     bool pin_workers = true;
@@ -68,8 +55,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int threads() const { return static_cast<int>(threads_.size()); }
-  /// True when this pool runs the mutex-deque baseline implementation.
-  bool mutex_deques() const { return options_.mutex_deques; }
 
   /// Enqueues one task. Callable from any thread, including from inside a
   /// running task (the subtask lands in the submitting worker's own deque).
@@ -90,7 +75,7 @@ class ThreadPool {
   struct Stats {
     std::uint64_t executed = 0;  // tasks run to completion
     std::uint64_t stolen = 0;    // tasks taken from another worker's deque
-    /// Steal probes that found nothing (empty victim or lost CAS race).
+    /// Steal probes that found nothing (empty victim deque).
     std::uint64_t steal_failures = 0;
     /// Times a worker went to sleep on the wake cv / was woken from it.
     std::uint64_t parks = 0;
@@ -115,10 +100,10 @@ class ThreadPool {
   /// One per worker, cache-line separated so a worker's own-counter
   /// updates never bounce a line a sibling is spinning on.
   struct alignas(64) Worker {
-    ChaseLevDeque<Task> deque;
-    // Mutex-deque baseline (Options::mutex_deques).
+    /// Guards `deque`: the owner pushes/pops the back, thieves take the
+    /// front.
     std::mutex mutex;
-    std::deque<Task*> mutex_deque;
+    std::deque<Task*> deque;
     /// Victim visitation order, same-NUMA-node first (topology.hpp).
     std::vector<int> steal_order;
     // Per-worker counters: written by the owning thread only (relaxed),

@@ -24,7 +24,9 @@ std::vector<int> Topology::parse_cpulist(const std::string& text) {
       } else {
         const int lo = std::stoi(chunk.substr(0, dash));
         const int hi = std::stoi(chunk.substr(dash + 1));
-        for (int c = lo; c <= hi && c - lo < 4096; ++c) cpus.push_back(c);
+        // 64-bit counter: `hi` may be INT_MAX, where ++c on an int wraps.
+        for (long long c = lo; c <= hi && c - lo < 4096; ++c)
+          cpus.push_back(static_cast<int>(c));
       }
     } catch (const std::exception&) {
       // Skip malformed chunks; detection falls back to one node below.

@@ -2,8 +2,8 @@
 // histograms registered by name in a process-global MetricsRegistry.
 // Unlike trace events, metrics are unconditional — an instrument is a
 // couple of relaxed atomics, cheap enough to update on hot paths without
-// a session being active — and are exported as a JSON snapshot (consumed
-// by bench_micro to enrich BENCH_exec.json with steal/queue-depth data).
+// a session being active — and are exported as a JSON snapshot (served
+// by the ops plane's /metrics endpoint).
 #pragma once
 
 #include <array>

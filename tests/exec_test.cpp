@@ -1,13 +1,15 @@
 // Unit tests for the task-level execution engine: work-stealing pool,
 // deterministically-chunked parallel_for, nested fork-join groups, and the
 // TaskGraph DAG scheduler (dependencies, priorities, cancellation,
-// exception propagation, per-task timing). The tsan stage reruns this
-// suite under ThreadSanitizer.
+// exception propagation, per-task timing), the owner-vs-thieves fan-out
+// stress on the per-worker deques, and the sysfs cpulist parser. The tsan
+// stage reruns this suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -18,6 +20,7 @@
 
 #include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
+#include "exec/topology.hpp"
 
 namespace presp::exec {
 namespace {
@@ -331,27 +334,42 @@ TEST(TaskGraph, StealingActuallyHappensUnderImbalance) {
   EXPECT_EQ(pool.stats().executed, 256u);
 }
 
-TEST(ThreadPool, MutexDequeBaselineExecutesIdentically) {
-  ThreadPool::Options options;
-  options.threads = 4;
-  options.mutex_deques = true;
-  ThreadPool pool(options);
-  EXPECT_TRUE(pool.mutex_deques());
-  std::atomic<int> count{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 512; ++i) group.run([&count] { ++count; });
-  group.wait();
-  EXPECT_EQ(count.load(), 512);
-  EXPECT_EQ(pool.stats().executed, 512u);
-}
-
-TEST(ThreadPool, LockFreeIsTheDefaultUnlessBuildFlagSet) {
-  ThreadPool pool(2);
-#if defined(PRESP_EXEC_MUTEX_DEQUE)
-  EXPECT_TRUE(pool.mutex_deques());
-#else
-  EXPECT_FALSE(pool.mutex_deques());
-#endif
+TEST(ThreadPool, FanOutFromWorkerDequeRunsEachChildExactlyOnce) {
+  // One root task fans 100k children into its own worker's deque, then
+  // drains them from the back while the other workers (and the waiting
+  // test thread) steal from the front. Every child must run exactly once.
+  constexpr int kChildren = 100'000;
+  for (const int width : {2, 4, 8}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    ThreadPool pool(width);
+    std::vector<std::atomic<int>> runs(kChildren);
+    std::atomic<int> root_worker{-2};
+    pool.submit([&] {
+      root_worker = pool.current_worker();
+      if (root_worker < 0) return;
+      for (int i = 0; i < kChildren; ++i)
+        pool.submit([&runs, i] {
+          runs[static_cast<std::size_t>(i)].fetch_add(
+              1, std::memory_order_relaxed);
+        });
+      // Hold the owner back until a thief has taken something, so the
+      // owner's pops below race live steals.
+      while (pool.stats().stolen == 0) std::this_thread::yield();
+      while (pool.run_one()) {
+      }
+    });
+    // Only a worker may pick the root up: wait_idle() would let this
+    // thread run it from the injection queue.
+    while (root_worker.load() == -2) std::this_thread::yield();
+    pool.wait_idle();
+    ASSERT_GE(root_worker.load(), 0);
+    int wrong = 0;
+    for (const std::atomic<int>& r : runs)
+      if (r.load(std::memory_order_relaxed) != 1) ++wrong;
+    EXPECT_EQ(wrong, 0);
+    EXPECT_EQ(pool.stats().executed, kChildren + 1u);
+    EXPECT_GT(pool.stats().stolen, 0u);
+  }
 }
 
 TEST(ThreadPool, StatsExposeStealFailuresAndParkTransitions) {
@@ -374,6 +392,31 @@ TEST(ThreadPool, StatsExposeStealFailuresAndParkTransitions) {
   EXPECT_GT(stats.steal_failures, 0u);
   // Unparks never exceed parks (a park must precede its unpark).
   EXPECT_LE(stats.unparks, stats.parks + 4);
+}
+
+TEST(Topology, ParsesRangesAndSingletons) {
+  EXPECT_EQ(Topology::parse_cpulist("0-3,8,10-11"),
+            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
+  EXPECT_EQ(Topology::parse_cpulist("5"), (std::vector<int>{5}));
+  EXPECT_EQ(Topology::parse_cpulist("7-7"), (std::vector<int>{7}));
+  EXPECT_TRUE(Topology::parse_cpulist("").empty());
+}
+
+TEST(Topology, SkipsMalformedChunks) {
+  EXPECT_TRUE(Topology::parse_cpulist("5-").empty());
+  EXPECT_TRUE(Topology::parse_cpulist("-3").empty());
+  EXPECT_TRUE(Topology::parse_cpulist("a").empty());
+  EXPECT_TRUE(Topology::parse_cpulist("3-1").empty());
+  EXPECT_EQ(Topology::parse_cpulist("a,1,5-,2-3,-3"),
+            (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Topology, RangeEndingAtIntMaxDoesNotOverflow) {
+  const int max = std::numeric_limits<int>::max();
+  EXPECT_EQ(Topology::parse_cpulist("2147483647-2147483647"),
+            (std::vector<int>{max}));
+  const std::vector<int> top = Topology::parse_cpulist("2147483645-2147483647");
+  EXPECT_EQ(top, (std::vector<int>{max - 2, max - 1, max}));
 }
 
 }  // namespace

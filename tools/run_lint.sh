@@ -38,7 +38,7 @@ if command -v "$CLANG_TIDY" >/dev/null 2>&1; then
   # Focused concurrency pass over the thread-pool and fleet layers:
   # the general run above uses the repo .clang-tidy profile; this one
   # forces the concurrency-* and bugprone-* families on so a profile
-  # edit can never silently drop them for the lock-free core.
+  # edit can never silently drop them for the concurrency core.
   echo "== clang-tidy (concurrency-*, bugprone-* over src/exec src/fleet) =="
   conc_files=$(find src/exec src/fleet -name '*.cpp' | sort)
   if ! "$CLANG_TIDY" -p "$BUILD_DIR" --quiet \

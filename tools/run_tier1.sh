@@ -29,10 +29,10 @@
 #              bit-identical) and a presp-lint --watch regression (an
 #              injected config edit must be re-linted within one poll)
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
-#   tsan       ThreadSanitizer build running the Chase-Lev deque stress
-#              tests (owner pop vs concurrent thieves), the exec unit
-#              tests (TaskGraph cancel/exception sweeps over pool widths,
-#              the TaskGroup destroy-after-wait stress), the serial/
+#   tsan       ThreadSanitizer build running the exec unit tests
+#              (the owner-vs-thieves deque fan-out at pool widths 2/4/8,
+#              TaskGraph cancel/exception sweeps over pool widths, the
+#              TaskGroup destroy-after-wait stress), the serial/
 #              parallel determinism test, the store tests (async
 #              bitstream reads on the thread pool), the trace
 #              tests (concurrent emitters), the fleet tests, the ops
@@ -293,9 +293,8 @@ stage_asan() {
 stage_tsan() {
   cmake -B "$TSAN_BUILD_DIR" -S . -DPRESP_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD_DIR" \
-      --target chase_lev_test exec_test exec_determinism_test store_test \
-      trace_test fleet_test ops_test dynamic_floorplan_test repacker_test -j
-  "$TSAN_BUILD_DIR"/tests/chase_lev_test
+      --target exec_test exec_determinism_test store_test trace_test \
+      fleet_test ops_test dynamic_floorplan_test repacker_test -j
   "$TSAN_BUILD_DIR"/tests/exec_test
   "$TSAN_BUILD_DIR"/tests/exec_determinism_test
   "$TSAN_BUILD_DIR"/tests/store_test
