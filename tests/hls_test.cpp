@@ -69,6 +69,13 @@ struct Table2Case {
   double paper_luts;
 };
 
+// gtest names each case "<name>  # GetParam() = <printed param>". Without a
+// printer it dumps the raw bytes, i.e. the address of `name`, which moves
+// with ASLR and the build path, so every build got different test names.
+void PrintTo(const Table2Case& c, std::ostream* os) {
+  *os << c.name << " (" << c.paper_luts << " LUTs)";
+}
+
 class Table2Fixture : public ::testing::TestWithParam<Table2Case> {};
 
 TEST_P(Table2Fixture, LutsWithinThreePercentOfPaper) {
