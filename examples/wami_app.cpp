@@ -5,13 +5,11 @@
 //
 // Build and run:
 //   ./build/examples/wami_app [frames] [--trace out.json]
-//                             [--cache-slots N] [--prefetch] [--serial]
-//                             [--ops-port N]
+//                             [--cache-slots N] [--prefetch] [--ops-port N]
 //
 // --cache-slots bounds kernel DRAM to N partial-bitstream slots (LRU,
 // filled from the async source); --prefetch warms each tile's next
-// kernel while the current one runs; --serial disables the pipelined
-// fetch/program overlap (the legacy combined ICAP transfer).
+// kernel while the current one runs.
 // --ops-port serves live telemetry on 127.0.0.1:N while the app runs
 // (0 = ephemeral): curl /metrics, /health (tile health + quarantine
 // stats from the reconfiguration manager), /trace/summary, /events.
@@ -57,8 +55,6 @@ int main(int argc, char** argv) {
       options.store.cache_slots = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--prefetch") == 0) {
       options.prefetch_next_kernel = true;
-    } else if (std::strcmp(argv[i], "--serial") == 0) {
-      options.manager.pipelined = false;
     } else if (std::strcmp(argv[i], "--ops-port") == 0 && i + 1 < argc) {
       ops_port = std::atoi(argv[++i]);
     } else {

@@ -30,6 +30,28 @@ void trace_queue_depth(sim::Kernel& kernel, long long depth) {
   }
 }
 
+/// One stage of the DFX controller's split transaction: the registers
+/// that start it, abort it and report its status, the interrupt that
+/// ends it, and its trace span names.
+struct DfxcStage {
+  bool fetch;
+  std::uint32_t start_reg;
+  std::uint32_t reset_reg;
+  std::uint32_t status_reg;
+  std::uint64_t done_irq;
+  const char* span;
+  const char* nack_span;
+};
+
+/// Fetch (DMA + CRC into the staging buffer), then program (ICAP
+/// streaming of the staged image). Each stage resets only its own engine.
+constexpr DfxcStage kDfxcStages[] = {
+    {true, soc::kRegDfxcFetch, soc::kRegDfxcFetchReset,
+     soc::kRegDfxcFetchStatus, soc::kIrqFetchDone, "fetch", "fetch-nack"},
+    {false, soc::kRegDfxcTrigger, soc::kRegDfxcReset, soc::kRegDfxcStatus,
+     soc::kIrqReconfDone, "icap", "trigger-nack"},
+};
+
 }  // namespace
 
 sim::Time jittered_backoff(long long base_cycles, int attempt,
@@ -62,12 +84,61 @@ ReconfigurationManager::ReconfigurationManager(soc::Soc& soc,
       fetch_lock_(soc.kernel(), 1),
       staging_sem_(soc.kernel(),
                    static_cast<std::uint32_t>(
-                       std::max(options.staging_slots, 1))),
+                       std::max(soc.options().dfxc_staging_slots, 1))),
       reg_lock_(soc.kernel(), 1), backoff_rng_(options.backoff_seed) {}
 
 sim::Time ReconfigurationManager::backoff(int attempt) {
   return jittered_backoff(options_.backoff_base_cycles, attempt,
                           options_.backoff_jitter, backoff_rng_);
+}
+
+sim::Time ReconfigurationManager::reconf_watchdog(std::size_t bytes) const {
+  return static_cast<sim::Time>(
+      options_.watchdog_reconf_base_cycles +
+      static_cast<long long>(options_.watchdog_reconf_margin *
+                             static_cast<double>(bytes) /
+                             soc_.options().icap_bytes_per_cycle));
+}
+
+void ReconfigurationManager::note_crc_retry(int& crc_attempts,
+                                            RequestStatus& status,
+                                            std::uint32_t track) {
+  ++stats_.crc_retries;
+  if (trace::enabled(kTrc))
+    trace::sim_instant(kTrc, "crc-retry", soc_.kernel().now(), track);
+  if (++crc_attempts >= options_.max_attempts)
+    status = RequestStatus::kCrcExhausted;
+}
+
+void ReconfigurationManager::note_recovery(sim::Time first_fire) {
+  if (first_fire != 0)
+    stats_.recovery_cycles +=
+        static_cast<long long>(soc_.kernel().now() - first_fire);
+}
+
+void ReconfigurationManager::quarantine_tile(int tile, std::uint32_t track) {
+  if (health_.health(tile) == TileHealth::kQuarantined) return;
+  health_.quarantine(tile);
+  ++stats_.quarantines;
+  if (trace::enabled(kTrc))
+    trace::sim_instant(kTrc, "quarantine", soc_.kernel().now(), track);
+}
+
+void ReconfigurationManager::fail_reconfiguration(int tile,
+                                                  std::uint32_t track) {
+  ++stats_.reconfigurations_failed;
+  quarantine_tile(tile, track);
+  drivers_.erase(tile);
+}
+
+void ReconfigurationManager::finish_request(sim::Time first_fire,
+                                            const std::string& span_label,
+                                            std::uint32_t track) {
+  note_recovery(first_fire);
+  --queue_depth_;
+  trace_queue_depth(soc_.kernel(), queue_depth_);
+  if (trace::enabled(kTrc))
+    trace::sim_end(kTrc, span_label, soc_.kernel().now(), track);
 }
 
 sim::Mailbox<std::uint64_t>& ReconfigurationManager::aux_box(int tile) {
@@ -99,14 +170,6 @@ sim::Process ReconfigurationManager::aux_irq_pump() {
   }
 }
 
-sim::Process ReconfigurationManager::reconfigure_locked(
-    int tile, std::string module, Completion& done) {
-  return options_.pipelined ? reconfigure_pipelined(tile, std::move(module),
-                                                    done)
-                            : reconfigure_serial(tile, std::move(module),
-                                                 done);
-}
-
 sim::Semaphore& ReconfigurationManager::tile_lock(int tile) {
   auto it = tile_locks_.find(tile);
   if (it == tile_locks_.end()) {
@@ -136,7 +199,7 @@ int ReconfigurationManager::route_tile(int tile, const std::string& module) {
   return fallback;
 }
 
-sim::Process ReconfigurationManager::reconfigure_serial(
+sim::Process ReconfigurationManager::reconfigure_locked(
     int tile, std::string module, Completion& done) {
   auto& kernel = soc_.kernel();
   const sim::Time requested = kernel.now();
@@ -147,40 +210,31 @@ sim::Process ReconfigurationManager::reconfigure_serial(
     trace::sim_begin(kTrc, span_label, requested, track);
     trace::sim_begin(kTrc, "queued", requested, track);
   }
-
-  // Queue on the single PRC ("reconfiguration requests are queued up and
-  // executed as soon as the PRC is ready").
+  // Queue on the DFX controller ("reconfiguration requests are queued up
+  // and executed as soon as the PRC is ready").
   ++queue_depth_;
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth_);
   trace_queue_depth(kernel, queue_depth_);
-  co_await prc_lock_.acquire();
-  stats_.prc_wait_cycles +=
-      static_cast<long long>(kernel.now() - requested);
-  const sim::Time start = kernel.now();
-  if (trace::enabled(kTrc)) trace::sim_end(kTrc, "queued", start, track);
+
+  start_irq_pump();
+  auto& cpu = soc_.cpu();
+  const int aux = soc_.aux_tile_index();
+  auto& irq = aux_box(tile);
 
   co_await sim::Delay(kernel,
                       static_cast<sim::Time>(
                           options_.request_overhead_cycles));
 
-  auto& cpu = soc_.cpu();
-  const int aux = soc_.aux_tile_index();
-  auto& aux_irq = cpu.irq_from(aux);
-
-  // Pin the image DRAM-resident for the whole transfer (synchronous for
-  // eager stores; a cache miss waits out the source fetch here).
+  // Source stage: pin the image DRAM-resident (cache fill / async read).
   StoreTicket ticket(kernel);
   store_.acquire(kernel, tile, module, ticket);
   co_await ticket.done.wait();
   const BitstreamImage image = ticket.image;
+  const sim::Time watchdog = reconf_watchdog(image.bytes);
 
-  // Watchdog deadline: generous multiple of the nominal transfer time, so
-  // a firing means the controller is wedged, not merely slow.
-  const auto watchdog = static_cast<sim::Time>(
-      options_.watchdog_reconf_base_cycles +
-      static_cast<long long>(
-          options_.watchdog_reconf_margin * static_cast<double>(image.bytes) /
-          soc_.options().icap_bytes_per_cycle));
+  // Admission into the bounded fetch->program buffer: at most one request
+  // per DFXC staging slot between fetch trigger and program completion.
+  co_await staging_sem_.acquire();
 
   // 1. Decouple the tile's wrapper from its socket.
   if (trace::enabled(kTrc))
@@ -191,178 +245,181 @@ sim::Process ReconfigurationManager::reconfigure_serial(
 
   RequestStatus status = RequestStatus::kOk;
   sim::Time first_fire = 0;
+  sim::Time start = 0;
   int crc_attempts = 0;
   int recoveries = 0;
   bool configured = false;
+  bool prc_held = false;
 
-  // 2./3. Program and trigger the DFX controller, wait for its completion
-  // interrupt under the watchdog, recover from CRC errors, lost
-  // interrupts, dropped triggers and hangs until the budgets run out.
-  while (!configured && status == RequestStatus::kOk) {
-    if (trace::enabled(kTrc)) {
-      trace::sim_begin(kTrc, "fetch", kernel.now(), track,
-                       static_cast<double>(image.bytes));
+  // 2./3. One pass per DFXC stage. The fetch stage is serialized on the
+  // fetch engine but free to overlap another request's program stage —
+  // that is the whole point of the split transaction. The program stage
+  // runs under the PRC lock; the controller sees the matching staged
+  // entry and skips the DMA + CRC it already did. Each stage recovers
+  // from CRC errors, lost interrupts, dropped triggers and hangs until
+  // the budgets run out.
+  for (const DfxcStage& stage : kDfxcStages) {
+    if (status != RequestStatus::kOk) break;
+    const sim::Time q0 = kernel.now();
+    co_await (stage.fetch ? fetch_lock_ : prc_lock_).acquire();
+    stats_.prc_wait_cycles += static_cast<long long>(kernel.now() - q0);
+    if (stage.fetch) {
+      start = kernel.now();
+      if (trace::enabled(kTrc)) trace::sim_end(kTrc, "queued", start, track);
     }
-    co_await cpu.write_reg(aux, soc::kRegDfxcBsAddr, image.address);
-    co_await cpu.write_reg(aux, soc::kRegDfxcBsBytes, image.bytes);
-    co_await cpu.write_reg(aux, soc::kRegDfxcTarget,
-                           static_cast<std::uint64_t>(tile));
-    const std::uint64_t nack =
-        co_await cpu.write_reg(aux, soc::kRegDfxcTrigger, 1);
-    if (trace::enabled(kTrc))
-      trace::sim_end(kTrc, "fetch", kernel.now(), track);
-    if (nack == kAckRefused) {
-      // The controller was busy and dropped the trigger (a leftover from
-      // an earlier wedge): reset it, back off, retry.
-      ++stats_.dropped_trigger_retries;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "trigger-nack", kernel.now(), track);
-      if (first_fire == 0) first_fire = kernel.now();
-      co_await cpu.write_reg(aux, soc::kRegDfxcReset, 1);
-      if (++recoveries > options_.retry_budget) {
-        status = RequestStatus::kTimeout;
-      } else {
-        const sim::Time delay = backoff(recoveries);
-        if (trace::enabled(kTrc)) {
-          trace::sim_instant(kTrc, "backoff", kernel.now(), track,
-                             static_cast<double>(delay));
-        }
-        co_await sim::Delay(kernel, delay);
+
+    bool finished = false;
+    while (!finished && status == RequestStatus::kOk) {
+      if (trace::enabled(kTrc)) {
+        trace::sim_begin(kTrc, stage.span, kernel.now(), track,
+                         static_cast<double>(image.bytes));
       }
-      continue;
-    }
-
-    if (trace::enabled(kTrc)) {
-      trace::sim_begin(kTrc, "icap", kernel.now(), track,
-                       static_cast<double>(image.bytes));
-    }
-    bool waiting = true;
-    while (waiting) {
-      const auto payload = co_await aux_irq.receive_for(watchdog);
-      if (payload.has_value()) {
-        const int target = static_cast<int>(*payload >> 8);
-        const std::uint64_t code = *payload & 0xFF;
-        if (target != tile || (code != soc::kIrqReconfDone &&
-                               code != soc::kIrqReconfError)) {
-          ++stats_.stray_irqs;  // late interrupt of a superseded attempt
-          continue;
+      // The address/length/target registers are shared by both stages of
+      // every request in flight; the register lock keeps two write
+      // sequences from interleaving.
+      co_await reg_lock_.acquire();
+      co_await cpu.write_reg(aux, soc::kRegDfxcBsAddr, image.address);
+      co_await cpu.write_reg(aux, soc::kRegDfxcBsBytes, image.bytes);
+      co_await cpu.write_reg(aux, soc::kRegDfxcTarget,
+                             static_cast<std::uint64_t>(tile));
+      const std::uint64_t nack =
+          co_await cpu.write_reg(aux, stage.start_reg, 1);
+      reg_lock_.release();
+      if (nack == kAckRefused) {
+        // The engine was busy (a leftover from an earlier wedge) or the
+        // staging buffer was full and dropped the trigger: reset the
+        // engine, back off, retry.
+        ++stats_.dropped_trigger_retries;
+        if (trace::enabled(kTrc)) {
+          trace::sim_instant(kTrc, stage.nack_span, kernel.now(), track);
+          trace::sim_end(kTrc, stage.span, kernel.now(), track);
         }
-        waiting = false;
-        if (code == soc::kIrqReconfDone) {
-          configured = true;
+        if (first_fire == 0) first_fire = kernel.now();
+        co_await cpu.write_reg(aux, stage.reset_reg, 1);
+        if (++recoveries > options_.retry_budget) {
+          status = RequestStatus::kTimeout;
         } else {
-          ++stats_.crc_retries;
-          if (trace::enabled(kTrc))
-            trace::sim_instant(kTrc, "crc-retry", kernel.now(), track);
-          if (++crc_attempts >= options_.max_attempts)
-            status = RequestStatus::kCrcExhausted;
+          co_await sim::Delay(kernel, backoff(recoveries));
         }
         continue;
       }
 
-      // Watchdog fired: read the controller's status register to tell a
-      // lost interrupt from a genuine wedge.
-      waiting = false;
-      ++stats_.watchdog_fires;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "watchdog", kernel.now(), track);
-      if (first_fire == 0) first_fire = kernel.now();
-      const std::uint64_t dfxc_status =
-          co_await cpu.read_reg(aux, soc::kRegDfxcStatus);
-      if (dfxc_status == 0) {
-        // Transfer completed; only its done interrupt was lost.
-        ++stats_.lost_irq_recoveries;
-        if (trace::enabled(kTrc))
-          trace::sim_instant(kTrc, "lost-irq", kernel.now(), track);
-        configured = true;
-      } else if (dfxc_status == 2) {
-        // CRC error whose interrupt was lost.
-        ++stats_.crc_retries;
-        if (trace::enabled(kTrc))
-          trace::sim_instant(kTrc, "crc-retry", kernel.now(), track);
-        if (++crc_attempts >= options_.max_attempts)
-          status = RequestStatus::kCrcExhausted;
-      } else {
-        // Genuinely wedged (ICAP stall or controller hang): abort the
-        // transfer and retry after a backoff.
-        co_await cpu.write_reg(aux, soc::kRegDfxcReset, 1);
-        if (++recoveries > options_.retry_budget) {
-          status = RequestStatus::kTimeout;
-        } else {
-          const sim::Time delay = backoff(recoveries);
-          if (trace::enabled(kTrc)) {
-            trace::sim_instant(kTrc, "backoff", kernel.now(), track,
-                               static_cast<double>(delay));
+      bool waiting = true;
+      while (waiting) {
+        const auto payload = co_await irq.receive_for(watchdog);
+        if (payload.has_value()) {
+          const std::uint64_t code = *payload & 0xFF;
+          if (code == stage.done_irq) {
+            finished = true;
+            waiting = false;
+          } else if (code == soc::kIrqReconfError) {
+            waiting = false;
+            note_crc_retry(crc_attempts, status, track);
+          } else {
+            ++stats_.stray_irqs;  // a superseded attempt's late interrupt
           }
-          co_await sim::Delay(kernel, delay);
+          continue;
         }
+
+        // Watchdog fired: the stage's own status register tells a lost
+        // interrupt from a wedged engine — never reset the other engine,
+        // whose transfer may be mid-flight for another request.
+        waiting = false;
+        ++stats_.watchdog_fires;
+        if (trace::enabled(kTrc))
+          trace::sim_instant(kTrc, "watchdog", kernel.now(), track);
+        if (first_fire == 0) first_fire = kernel.now();
+        const std::uint64_t engine_status =
+            co_await cpu.read_reg(aux, stage.status_reg);
+        if (engine_status == 0) {
+          // Transfer completed; only its done interrupt was lost.
+          ++stats_.lost_irq_recoveries;
+          if (trace::enabled(kTrc))
+            trace::sim_instant(kTrc, "lost-irq", kernel.now(), track);
+          finished = true;
+        } else if (engine_status == 2) {
+          // CRC error whose interrupt was lost.
+          note_crc_retry(crc_attempts, status, track);
+        } else {
+          // Genuinely wedged (ICAP stall or controller hang): abort the
+          // transfer and retry after a backoff.
+          co_await cpu.write_reg(aux, stage.reset_reg, 1);
+          if (++recoveries > options_.retry_budget) {
+            status = RequestStatus::kTimeout;
+          } else {
+            co_await sim::Delay(kernel, backoff(recoveries));
+          }
+        }
+        // Settle, then drain stale interrupts so a late completion of the
+        // aborted attempt is never attributed to the next one.
+        co_await sim::Delay(
+            kernel, static_cast<sim::Time>(options_.irq_drain_cycles));
+        while (irq.try_receive().has_value()) ++stats_.stray_irqs;
       }
-      // Settle, then drain stale interrupts so a late completion of the
-      // aborted attempt is never attributed to the next one.
-      co_await sim::Delay(kernel,
-                          static_cast<sim::Time>(options_.irq_drain_cycles));
-      while (aux_irq.try_receive().has_value()) ++stats_.stray_irqs;
+      if (trace::enabled(kTrc))
+        trace::sim_end(kTrc, stage.span, kernel.now(), track);
     }
-    if (trace::enabled(kTrc))
-      trace::sim_end(kTrc, "icap", kernel.now(), track);
+
+    if (stage.fetch) {
+      fetch_lock_.release();
+      if (finished) ++stats_.pipelined_fetches;
+    } else {
+      prc_held = true;
+      configured = finished;
+    }
   }
 
   if (!configured) {
     // Escalate instead of throwing: quarantine the tile, blank its
-    // partition with the greybox image so the fabric is left safe, and
-    // surface the status through the completion channel.
-    ++stats_.reconfigurations_failed;
-    if (health_.health(tile) != TileHealth::kQuarantined) {
-      health_.quarantine(tile);
-      ++stats_.quarantines;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "quarantine", kernel.now(), track);
-    }
-    drivers_.erase(tile);
+    // partition with the greybox image (the DFXC's combined transfer,
+    // under the PRC lock) so the fabric is left safe, and surface the
+    // status through the completion channel.
+    fail_reconfiguration(tile, track);
+    if (!prc_held) co_await prc_lock_.acquire();
     if (!module.empty() && store_.has(tile, "")) {
       const BitstreamImage& blank = store_.get(tile, "");
+      co_await reg_lock_.acquire();
       co_await cpu.write_reg(aux, soc::kRegDfxcBsAddr, blank.address);
       co_await cpu.write_reg(aux, soc::kRegDfxcBsBytes, blank.bytes);
       co_await cpu.write_reg(aux, soc::kRegDfxcTarget,
                              static_cast<std::uint64_t>(tile));
       const std::uint64_t nack =
           co_await cpu.write_reg(aux, soc::kRegDfxcTrigger, 1);
+      reg_lock_.release();
       bool blanked = nack != kAckRefused;
       while (blanked) {
-        const auto payload = co_await aux_irq.receive_for(watchdog);
+        const auto payload = co_await irq.receive_for(watchdog);
         if (!payload.has_value()) {
-          // Best effort only: reset the controller and leave the tile
+          // Best effort only: reset the controller, leave the tile
           // decoupled.
           ++stats_.watchdog_fires;
           co_await cpu.write_reg(aux, soc::kRegDfxcReset, 1);
           break;
         }
-        const int target = static_cast<int>(*payload >> 8);
         const std::uint64_t code = *payload & 0xFF;
-        if (target != tile) {
-          ++stats_.stray_irqs;
-          continue;
-        }
         if (code == soc::kIrqReconfDone) {
-          // Blank in place: safe to re-enable the decoupler (nack from a
+          // Blank in place: safe to re-enable the decoupler (a nack from a
           // stuck decoupler is tolerable here — the partition is empty).
           co_await cpu.write_reg(tile, soc::kRegDecouple, 0);
+          break;
         }
-        break;
+        if (code == soc::kIrqReconfError) break;
+        ++stats_.stray_irqs;
       }
     }
-    if (first_fire != 0)
-      stats_.recovery_cycles +=
-          static_cast<long long>(kernel.now() - first_fire);
-    --queue_depth_;
-    trace_queue_depth(kernel, queue_depth_);
-    if (trace::enabled(kTrc))
-      trace::sim_end(kTrc, span_label, kernel.now(), track);
-    store_.release(tile, module);
+    finish_request(first_fire, span_label, track);
     prc_lock_.release();
+    staging_sem_.release();
+    store_.release(tile, module);
     done.complete(status, tile);
     co_return;
   }
+
+  // Programmed: the ICAP, the staging slot and the image pin are free for
+  // the next request before we even recouple.
+  prc_lock_.release();
+  staging_sem_.release();
+  store_.release(tile, module);
 
   // 4. Re-enable the decoupler (resets the wrapper + NoC queues). An
   // injected stuck-at fault nacks the release; retry with backoff.
@@ -388,23 +445,8 @@ sim::Process ReconfigurationManager::reconfigure_serial(
   if (status != RequestStatus::kOk) {
     // The module is configured but unreachable behind a stuck decoupler:
     // pull the tile from rotation.
-    ++stats_.reconfigurations_failed;
-    if (health_.health(tile) != TileHealth::kQuarantined) {
-      health_.quarantine(tile);
-      ++stats_.quarantines;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "quarantine", kernel.now(), track);
-    }
-    drivers_.erase(tile);
-    if (first_fire != 0)
-      stats_.recovery_cycles +=
-          static_cast<long long>(kernel.now() - first_fire);
-    --queue_depth_;
-    trace_queue_depth(kernel, queue_depth_);
-    if (trace::enabled(kTrc))
-      trace::sim_end(kTrc, span_label, kernel.now(), track);
-    store_.release(tile, module);
-    prc_lock_.release();
+    fail_reconfiguration(tile, track);
+    finish_request(first_fire, span_label, track);
     done.complete(status, tile);
     co_return;
   }
@@ -426,409 +468,12 @@ sim::Process ReconfigurationManager::reconfigure_serial(
   ++stats_.reconfigurations;
   stats_.reconfiguration_cycles +=
       static_cast<long long>(kernel.now() - start);
-  if (first_fire != 0)
-    stats_.recovery_cycles +=
-        static_cast<long long>(kernel.now() - first_fire);
   if (recoveries > 0 || crc_attempts > 0 || release_tries > 0) {
     health_.record_failure(tile);
   } else {
     health_.record_success(tile);
   }
-  --queue_depth_;
-  trace_queue_depth(kernel, queue_depth_);
-  if (trace::enabled(kTrc))
-    trace::sim_end(kTrc, span_label, kernel.now(), track);
-  store_.release(tile, module);
-  prc_lock_.release();
-  done.complete(RequestStatus::kOk, tile);
-}
-
-sim::Process ReconfigurationManager::reconfigure_pipelined(
-    int tile, std::string module, Completion& done) {
-  auto& kernel = soc_.kernel();
-  const sim::Time requested = kernel.now();
-  const std::uint32_t track = tile_track(tile);
-  const std::string span_label =
-      "reconfigure:" + (module.empty() ? std::string("(blank)") : module);
-  if (trace::enabled(kTrc)) {
-    trace::sim_begin(kTrc, span_label, requested, track);
-    trace::sim_begin(kTrc, "queued", requested, track);
-  }
-  ++queue_depth_;
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth_);
-  trace_queue_depth(kernel, queue_depth_);
-
-  start_irq_pump();
-  auto& cpu = soc_.cpu();
-  const int aux = soc_.aux_tile_index();
-  auto& irq = aux_box(tile);
-
-  co_await sim::Delay(kernel,
-                      static_cast<sim::Time>(
-                          options_.request_overhead_cycles));
-
-  // Source stage: pin the image DRAM-resident (cache fill / async read).
-  StoreTicket ticket(kernel);
-  store_.acquire(kernel, tile, module, ticket);
-  co_await ticket.done.wait();
-  const BitstreamImage image = ticket.image;
-
-  const auto watchdog = static_cast<sim::Time>(
-      options_.watchdog_reconf_base_cycles +
-      static_cast<long long>(
-          options_.watchdog_reconf_margin * static_cast<double>(image.bytes) /
-          soc_.options().icap_bytes_per_cycle));
-
-  // Admission into the bounded fetch->program buffer: at most
-  // staging_slots requests between fetch trigger and program completion.
-  co_await staging_sem_.acquire();
-
-  // 1. Decouple the tile's wrapper from its socket.
-  if (trace::enabled(kTrc))
-    trace::sim_begin(kTrc, "decouple", kernel.now(), track);
-  co_await cpu.write_reg(tile, soc::kRegDecouple, 1);
-  if (trace::enabled(kTrc))
-    trace::sim_end(kTrc, "decouple", kernel.now(), track);
-
-  RequestStatus status = RequestStatus::kOk;
-  sim::Time first_fire = 0;
-  int crc_attempts = 0;
-  int recoveries = 0;
-
-  // 2. Fetch stage: DMA + CRC into the DFX controller's staging buffer.
-  // Serialized on the fetch engine, but free to overlap another request's
-  // program stage — that is the whole point of the split transaction.
-  {
-    const sim::Time q0 = kernel.now();
-    co_await fetch_lock_.acquire();
-    stats_.prc_wait_cycles += static_cast<long long>(kernel.now() - q0);
-  }
-  const sim::Time start = kernel.now();
-  if (trace::enabled(kTrc)) trace::sim_end(kTrc, "queued", start, track);
-
-  bool fetched = false;
-  while (!fetched && status == RequestStatus::kOk) {
-    if (trace::enabled(kTrc)) {
-      trace::sim_begin(kTrc, "fetch", kernel.now(), track,
-                       static_cast<double>(image.bytes));
-    }
-    // The address/length/target registers are shared with the program
-    // stage of whatever request currently owns the ICAP; the register
-    // lock keeps the two write sequences from interleaving.
-    co_await reg_lock_.acquire();
-    co_await cpu.write_reg(aux, soc::kRegDfxcBsAddr, image.address);
-    co_await cpu.write_reg(aux, soc::kRegDfxcBsBytes, image.bytes);
-    co_await cpu.write_reg(aux, soc::kRegDfxcTarget,
-                           static_cast<std::uint64_t>(tile));
-    const std::uint64_t nack =
-        co_await cpu.write_reg(aux, soc::kRegDfxcFetch, 1);
-    reg_lock_.release();
-    if (nack == kAckRefused) {
-      ++stats_.dropped_trigger_retries;
-      if (trace::enabled(kTrc)) {
-        trace::sim_instant(kTrc, "fetch-nack", kernel.now(), track);
-        trace::sim_end(kTrc, "fetch", kernel.now(), track);
-      }
-      if (first_fire == 0) first_fire = kernel.now();
-      co_await cpu.write_reg(aux, soc::kRegDfxcFetchReset, 1);
-      if (++recoveries > options_.retry_budget) {
-        status = RequestStatus::kTimeout;
-      } else {
-        co_await sim::Delay(kernel, backoff(recoveries));
-      }
-      continue;
-    }
-
-    bool waiting = true;
-    while (waiting) {
-      const auto payload = co_await irq.receive_for(watchdog);
-      if (payload.has_value()) {
-        const std::uint64_t code = *payload & 0xFF;
-        if (code == soc::kIrqFetchDone) {
-          fetched = true;
-          waiting = false;
-        } else if (code == soc::kIrqReconfError) {
-          waiting = false;
-          ++stats_.crc_retries;
-          if (trace::enabled(kTrc))
-            trace::sim_instant(kTrc, "crc-retry", kernel.now(), track);
-          if (++crc_attempts >= options_.max_attempts)
-            status = RequestStatus::kCrcExhausted;
-        } else {
-          ++stats_.stray_irqs;  // a superseded attempt's late interrupt
-        }
-        continue;
-      }
-
-      // Watchdog fired: distinguish a lost interrupt from a wedged fetch
-      // engine via its own status register — never by resetting the
-      // program engine, whose transfer may be mid-flight.
-      waiting = false;
-      ++stats_.watchdog_fires;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "watchdog", kernel.now(), track);
-      if (first_fire == 0) first_fire = kernel.now();
-      const std::uint64_t fetch_status =
-          co_await cpu.read_reg(aux, soc::kRegDfxcFetchStatus);
-      if (fetch_status == 0) {
-        ++stats_.lost_irq_recoveries;
-        if (trace::enabled(kTrc))
-          trace::sim_instant(kTrc, "lost-irq", kernel.now(), track);
-        fetched = true;
-      } else if (fetch_status == 2) {
-        ++stats_.crc_retries;
-        if (trace::enabled(kTrc))
-          trace::sim_instant(kTrc, "crc-retry", kernel.now(), track);
-        if (++crc_attempts >= options_.max_attempts)
-          status = RequestStatus::kCrcExhausted;
-      } else {
-        co_await cpu.write_reg(aux, soc::kRegDfxcFetchReset, 1);
-        if (++recoveries > options_.retry_budget) {
-          status = RequestStatus::kTimeout;
-        } else {
-          co_await sim::Delay(kernel, backoff(recoveries));
-        }
-      }
-      co_await sim::Delay(kernel,
-                          static_cast<sim::Time>(options_.irq_drain_cycles));
-      while (irq.try_receive().has_value()) ++stats_.stray_irqs;
-    }
-    if (trace::enabled(kTrc) && nack != kAckRefused)
-      trace::sim_end(kTrc, "fetch", kernel.now(), track);
-  }
-  fetch_lock_.release();
-  if (fetched) ++stats_.pipelined_fetches;
-
-  // 3. Program stage: stream the staged bitstream into the ICAP under the
-  // PRC lock. The controller sees the matching staged entry and skips the
-  // DMA + CRC it already did.
-  bool configured = false;
-  bool prc_held = false;
-  if (status == RequestStatus::kOk) {
-    const sim::Time p0 = kernel.now();
-    co_await prc_lock_.acquire();
-    prc_held = true;
-    stats_.prc_wait_cycles += static_cast<long long>(kernel.now() - p0);
-    while (!configured && status == RequestStatus::kOk) {
-      if (trace::enabled(kTrc)) {
-        trace::sim_begin(kTrc, "icap", kernel.now(), track,
-                         static_cast<double>(image.bytes));
-      }
-      co_await reg_lock_.acquire();
-      co_await cpu.write_reg(aux, soc::kRegDfxcBsAddr, image.address);
-      co_await cpu.write_reg(aux, soc::kRegDfxcBsBytes, image.bytes);
-      co_await cpu.write_reg(aux, soc::kRegDfxcTarget,
-                             static_cast<std::uint64_t>(tile));
-      const std::uint64_t nack =
-          co_await cpu.write_reg(aux, soc::kRegDfxcTrigger, 1);
-      reg_lock_.release();
-      if (nack == kAckRefused) {
-        ++stats_.dropped_trigger_retries;
-        if (trace::enabled(kTrc)) {
-          trace::sim_instant(kTrc, "trigger-nack", kernel.now(), track);
-          trace::sim_end(kTrc, "icap", kernel.now(), track);
-        }
-        if (first_fire == 0) first_fire = kernel.now();
-        co_await cpu.write_reg(aux, soc::kRegDfxcReset, 1);
-        if (++recoveries > options_.retry_budget) {
-          status = RequestStatus::kTimeout;
-        } else {
-          co_await sim::Delay(kernel, backoff(recoveries));
-        }
-        continue;
-      }
-
-      bool waiting = true;
-      while (waiting) {
-        const auto payload = co_await irq.receive_for(watchdog);
-        if (payload.has_value()) {
-          const std::uint64_t code = *payload & 0xFF;
-          if (code == soc::kIrqReconfDone) {
-            configured = true;
-            waiting = false;
-          } else if (code == soc::kIrqReconfError) {
-            waiting = false;
-            ++stats_.crc_retries;
-            if (trace::enabled(kTrc))
-              trace::sim_instant(kTrc, "crc-retry", kernel.now(), track);
-            if (++crc_attempts >= options_.max_attempts)
-              status = RequestStatus::kCrcExhausted;
-          } else {
-            ++stats_.stray_irqs;
-          }
-          continue;
-        }
-
-        waiting = false;
-        ++stats_.watchdog_fires;
-        if (trace::enabled(kTrc))
-          trace::sim_instant(kTrc, "watchdog", kernel.now(), track);
-        if (first_fire == 0) first_fire = kernel.now();
-        const std::uint64_t dfxc_status =
-            co_await cpu.read_reg(aux, soc::kRegDfxcStatus);
-        if (dfxc_status == 0) {
-          ++stats_.lost_irq_recoveries;
-          if (trace::enabled(kTrc))
-            trace::sim_instant(kTrc, "lost-irq", kernel.now(), track);
-          configured = true;
-        } else if (dfxc_status == 2) {
-          ++stats_.crc_retries;
-          if (trace::enabled(kTrc))
-            trace::sim_instant(kTrc, "crc-retry", kernel.now(), track);
-          if (++crc_attempts >= options_.max_attempts)
-            status = RequestStatus::kCrcExhausted;
-        } else {
-          co_await cpu.write_reg(aux, soc::kRegDfxcReset, 1);
-          if (++recoveries > options_.retry_budget) {
-            status = RequestStatus::kTimeout;
-          } else {
-            co_await sim::Delay(kernel, backoff(recoveries));
-          }
-        }
-        co_await sim::Delay(
-            kernel, static_cast<sim::Time>(options_.irq_drain_cycles));
-        while (irq.try_receive().has_value()) ++stats_.stray_irqs;
-      }
-      if (trace::enabled(kTrc))
-        trace::sim_end(kTrc, "icap", kernel.now(), track);
-    }
-  }
-
-  if (!configured) {
-    // Escalate exactly like the serial flow: quarantine, blank the
-    // partition with the greybox image (a combined transfer under the
-    // PRC lock), surface the status.
-    ++stats_.reconfigurations_failed;
-    if (health_.health(tile) != TileHealth::kQuarantined) {
-      health_.quarantine(tile);
-      ++stats_.quarantines;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "quarantine", kernel.now(), track);
-    }
-    drivers_.erase(tile);
-    if (!prc_held) {
-      co_await prc_lock_.acquire();
-      prc_held = true;
-    }
-    if (!module.empty() && store_.has(tile, "")) {
-      const BitstreamImage& blank = store_.get(tile, "");
-      co_await reg_lock_.acquire();
-      co_await cpu.write_reg(aux, soc::kRegDfxcBsAddr, blank.address);
-      co_await cpu.write_reg(aux, soc::kRegDfxcBsBytes, blank.bytes);
-      co_await cpu.write_reg(aux, soc::kRegDfxcTarget,
-                             static_cast<std::uint64_t>(tile));
-      const std::uint64_t nack =
-          co_await cpu.write_reg(aux, soc::kRegDfxcTrigger, 1);
-      reg_lock_.release();
-      bool blanked = nack != kAckRefused;
-      while (blanked) {
-        const auto payload = co_await irq.receive_for(watchdog);
-        if (!payload.has_value()) {
-          // Best effort only: reset the controller, leave the tile
-          // decoupled.
-          ++stats_.watchdog_fires;
-          co_await cpu.write_reg(aux, soc::kRegDfxcReset, 1);
-          break;
-        }
-        const std::uint64_t code = *payload & 0xFF;
-        if (code == soc::kIrqReconfDone) {
-          co_await cpu.write_reg(tile, soc::kRegDecouple, 0);
-          break;
-        }
-        if (code == soc::kIrqReconfError) break;
-        ++stats_.stray_irqs;
-      }
-    }
-    if (first_fire != 0)
-      stats_.recovery_cycles +=
-          static_cast<long long>(kernel.now() - first_fire);
-    --queue_depth_;
-    trace_queue_depth(kernel, queue_depth_);
-    if (trace::enabled(kTrc))
-      trace::sim_end(kTrc, span_label, kernel.now(), track);
-    prc_lock_.release();
-    staging_sem_.release();
-    store_.release(tile, module);
-    done.complete(status, tile);
-    co_return;
-  }
-
-  // Programmed: the ICAP, the staging slot and the image pin are free for
-  // the next request before we even recouple.
-  prc_lock_.release();
-  staging_sem_.release();
-  store_.release(tile, module);
-
-  // 4. Re-enable the decoupler; an injected stuck-at fault nacks the
-  // release, retried with backoff.
-  if (trace::enabled(kTrc))
-    trace::sim_begin(kTrc, "recouple", kernel.now(), track);
-  int release_tries = 0;
-  while (status == RequestStatus::kOk) {
-    const std::uint64_t nack =
-        co_await cpu.write_reg(tile, soc::kRegDecouple, 0);
-    if (nack != kAckRefused) break;
-    ++stats_.stuck_decouple_retries;
-    if (trace::enabled(kTrc))
-      trace::sim_instant(kTrc, "stuck-decouple", kernel.now(), track);
-    if (first_fire == 0) first_fire = kernel.now();
-    if (++release_tries > options_.retry_budget) {
-      status = RequestStatus::kTimeout;
-      break;
-    }
-    co_await sim::Delay(kernel, backoff(release_tries));
-  }
-  if (trace::enabled(kTrc))
-    trace::sim_end(kTrc, "recouple", kernel.now(), track);
-  if (status != RequestStatus::kOk) {
-    ++stats_.reconfigurations_failed;
-    if (health_.health(tile) != TileHealth::kQuarantined) {
-      health_.quarantine(tile);
-      ++stats_.quarantines;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "quarantine", kernel.now(), track);
-    }
-    drivers_.erase(tile);
-    if (first_fire != 0)
-      stats_.recovery_cycles +=
-          static_cast<long long>(kernel.now() - first_fire);
-    --queue_depth_;
-    trace_queue_depth(kernel, queue_depth_);
-    if (trace::enabled(kTrc))
-      trace::sim_end(kTrc, span_label, kernel.now(), track);
-    done.complete(status, tile);
-    co_return;
-  }
-
-  // 5. Swap the accelerator driver.
-  if (trace::enabled(kTrc))
-    trace::sim_begin(kTrc, "driver-swap", kernel.now(), track);
-  co_await sim::Delay(kernel,
-                      static_cast<sim::Time>(options_.driver_swap_cycles));
-  if (module.empty()) {
-    drivers_.erase(tile);
-  } else {
-    drivers_[tile] = module;
-    ++stats_.driver_swaps;
-  }
-  if (trace::enabled(kTrc))
-    trace::sim_end(kTrc, "driver-swap", kernel.now(), track);
-
-  ++stats_.reconfigurations;
-  stats_.reconfiguration_cycles +=
-      static_cast<long long>(kernel.now() - start);
-  if (first_fire != 0)
-    stats_.recovery_cycles +=
-        static_cast<long long>(kernel.now() - first_fire);
-  if (recoveries > 0 || crc_attempts > 0 || release_tries > 0) {
-    health_.record_failure(tile);
-  } else {
-    health_.record_success(tile);
-  }
-  --queue_depth_;
-  trace_queue_depth(kernel, queue_depth_);
-  if (trace::enabled(kTrc))
-    trace::sim_end(kTrc, span_label, kernel.now(), track);
+  finish_request(first_fire, span_label, track);
   done.complete(RequestStatus::kOk, tile);
 }
 
@@ -889,16 +534,11 @@ sim::Process ReconfigurationManager::verify_partition(int tile,
   co_await ticket.done.wait();
   const BitstreamImage image = ticket.image;
   const int aux = soc_.aux_tile_index();
-  // Once the pipelined flow's IRQ pump owns the raw aux stream, every
-  // waiter must go through its per-tile mailbox.
-  if (options_.pipelined) start_irq_pump();
-  auto& aux_irq =
-      options_.pipelined ? aux_box(tile) : cpu.irq_from(aux);
-  const auto watchdog = static_cast<sim::Time>(
-      options_.watchdog_reconf_base_cycles +
-      static_cast<long long>(
-          options_.watchdog_reconf_margin * static_cast<double>(image.bytes) /
-          soc_.options().icap_bytes_per_cycle));
+  // The IRQ pump owns the raw aux stream; every waiter goes through its
+  // per-tile mailbox.
+  start_irq_pump();
+  auto& aux_irq = aux_box(tile);
+  const sim::Time watchdog = reconf_watchdog(image.bytes);
 
   RequestStatus status = RequestStatus::kOk;
   int recoveries = 0;
@@ -926,9 +566,7 @@ sim::Process ReconfigurationManager::verify_partition(int tile,
     while (waiting) {
       const auto payload = co_await aux_irq.receive_for(watchdog);
       if (payload.has_value()) {
-        const int target = static_cast<int>(*payload >> 8);
-        const std::uint64_t code = *payload & 0xFF;
-        if (target == tile && code == soc::kIrqReadbackDone) {
+        if ((*payload & 0xFF) == soc::kIrqReadbackDone) {
           verified = true;
           waiting = false;
         } else {
@@ -1163,12 +801,7 @@ sim::Process ReconfigurationManager::run(int tile, std::string module,
 
     // The pass failed: pull the tile from rotation and leave its
     // partition blank, then let the next pass re-route.
-    if (health_.health(routed) != TileHealth::kQuarantined) {
-      health_.quarantine(routed);
-      ++stats_.quarantines;
-      if (trace::enabled(kTrc))
-        trace::sim_instant(kTrc, "quarantine", kernel.now(), run_track);
-    }
+    quarantine_tile(routed, run_track);
     if (store_.has(routed, "") &&
         !soc_.reconf_tile(routed).module().empty()) {
       Completion blanked(kernel);
@@ -1180,9 +813,7 @@ sim::Process ReconfigurationManager::run(int tile, std::string module,
     tile_lock(routed).release();
   }
 
-  if (first_fire != 0)
-    stats_.recovery_cycles +=
-        static_cast<long long>(kernel.now() - first_fire);
+  note_recovery(first_fire);
   done.complete(status, routed);
 }
 

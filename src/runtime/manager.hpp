@@ -3,9 +3,11 @@
 // Kernel-level services, modeled as coroutines over the simulated CPU:
 //   - per-device (tile) locking: while a reconfiguration or an accelerator
 //     run is in flight, other software threads targeting the tile block;
-//   - a reconfiguration workqueue: requests are serialized on the single
-//     DFX controller / ICAP pair and executed "as soon as the PRC is
-//     ready";
+//   - a reconfiguration workqueue: requests share the single DFX
+//     controller / ICAP pair and are executed "as soon as the PRC is
+//     ready", each as a split transaction whose fetch stage (DMA + CRC
+//     into the controller's staging buffer) overlaps the previous
+//     request's program stage (ICAP streaming);
 //   - before queueing, the calling thread waits for the accelerator in the
 //     tile to finish (the per-tile lock enforces this);
 //   - decoupler control around the reconfiguration, driver swap after it.
@@ -28,6 +30,7 @@
 // software. Error paths never throw across a coroutine suspension.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -127,15 +130,6 @@ struct ManagerOptions {
   int retry_budget = 3;
   /// Settle time after a recovery before stale interrupts are drained.
   long long irq_drain_cycles = 2'000;
-  /// Split each request into a fetch stage (DMA + CRC into the DFXC
-  /// staging buffer) and a program stage (ICAP streaming), so request
-  /// N+1's fetch overlaps request N's programming. false = the legacy
-  /// combined transfer (the serial baseline bench_micro compares
-  /// against).
-  bool pipelined = true;
-  /// Bounded fetch->program buffer depth (2 = double buffer). Should not
-  /// exceed SocOptions::dfxc_staging_slots.
-  int staging_slots = 2;
   TileHealthOptions health;
 };
 
@@ -146,8 +140,8 @@ struct ManagerStats {
   std::uint64_t reconfigurations_failed = 0;
   std::uint64_t runs = 0;
   std::uint64_t driver_swaps = 0;
-  /// Fetch stages completed by the pipelined flow (DMA+CRC staged in the
-  /// DFXC ahead of — possibly overlapping — another request's program).
+  /// Fetch stages completed (DMA+CRC staged in the DFXC ahead of —
+  /// possibly overlapping — another request's program).
   std::uint64_t pipelined_fetches = 0;
   /// CRC failures detected by the DFX controller and retried.
   std::uint64_t crc_retries = 0;
@@ -208,8 +202,8 @@ struct LockNesting {
 /// is declared statically instead, and runtime_test checks it is acyclic
 /// with lint::find_cycle. Observed orders: the program path holds the
 /// tile lock across the prc and register stages, the fetch stage nests
-/// the register update, and the pipelined path overlaps fetch with the
-/// previous request's prc stage.
+/// the register update, and one request's fetch overlaps the previous
+/// request's prc stage.
 inline constexpr LockNesting kManagerLockNesting[] = {
     {ManagerLock::kTile, ManagerLock::kPrc},
     {ManagerLock::kTile, ManagerLock::kReg},
@@ -258,7 +252,7 @@ class ReconfigurationManager {
   bool tile_idle(int tile) { return tile_lock(tile).available() > 0; }
 
   /// Repack commit path: forced reprogram of `module` on `tile` through
-  /// the regular (pipelined) DFXC flow, under the tile lock. Used by the
+  /// the regular DFXC flow, under the tile lock. Used by the
   /// defragmentation repacker after a region relocation is staged; on
   /// escalation the usual quarantine/re-route machinery applies and the
   /// caller rolls the region move back.
@@ -290,26 +284,20 @@ class ReconfigurationManager {
   const std::string& driver(int tile) const;
 
  private:
-  /// Core reconfiguration sequence; caller must hold the tile lock.
-  /// Never throws after its first suspension: failures surface through
-  /// `done`, and on escalation the partition is blanked and the tile
-  /// quarantined before completion. Dispatches to the pipelined
-  /// (split fetch/program) or serial (combined transfer) flow.
+  /// Core reconfiguration sequence; caller must hold the tile lock. A
+  /// split transaction: the fetch stage (DMA + CRC into the DFXC staging
+  /// buffer, serialized on fetch_lock_) overlaps the previous request's
+  /// program stage (ICAP streaming under prc_lock_); staging_sem_ bounds
+  /// the requests between them. Never throws after its first suspension:
+  /// failures surface through `done`, and on escalation the partition is
+  /// blanked (the DFXC's combined transfer) and the tile quarantined
+  /// before completion.
   sim::Process reconfigure_locked(int tile, std::string module,
                                   Completion& done);
-  /// Legacy combined DMA+ICAP transfer under prc_lock_.
-  sim::Process reconfigure_serial(int tile, std::string module,
-                                  Completion& done);
-  /// Split-transaction flow: the fetch stage (DMA + CRC into the DFXC
-  /// staging buffer, serialized on fetch_lock_) overlaps the previous
-  /// request's program stage (ICAP streaming under prc_lock_); a bounded
-  /// staging semaphore forms the double buffer between them.
-  sim::Process reconfigure_pipelined(int tile, std::string module,
-                                     Completion& done);
   /// Demultiplexes the shared aux-tile IRQ stream into per-target
-  /// mailboxes so concurrently waiting fetch/program stages never steal
-  /// each other's completions. Started lazily by the first pipelined
-  /// operation; serial mode keeps waiting on the raw stream.
+  /// mailboxes so concurrently waiting fetch/program stages and readbacks
+  /// never steal each other's completions. Started lazily by the first
+  /// reconfiguration or readback.
   sim::Process aux_irq_pump();
   void start_irq_pump();
   sim::Mailbox<std::uint64_t>& aux_box(int tile);
@@ -320,18 +308,41 @@ class ReconfigurationManager {
   sim::Semaphore& tile_lock(int tile);
   /// Jittered backoff before retry `attempt` (see ManagerOptions).
   sim::Time backoff(int attempt);
+  /// Watchdog deadline for one DFXC transfer of `bytes`: a generous
+  /// multiple of the nominal ICAP streaming time, so a firing means the
+  /// controller is wedged, not merely slow.
+  sim::Time reconf_watchdog(std::size_t bytes) const;
+
+  // Synchronous bookkeeping shared by the recovery and escalation paths.
+  /// Counts a CRC failure; the request gives up after max_attempts.
+  void note_crc_retry(int& crc_attempts, RequestStatus& status,
+                      std::uint32_t track);
+  /// Adds the time since the first watchdog fire or nack (0 = none) to
+  /// recovery_cycles.
+  void note_recovery(sim::Time first_fire);
+  /// Pulls `tile` from rotation, once, and records the quarantine.
+  void quarantine_tile(int tile, std::uint32_t track);
+  /// A reconfiguration escalated: counts it, quarantines the tile and
+  /// unloads its driver.
+  void fail_reconfiguration(int tile, std::uint32_t track);
+  /// Closes a reconfiguration request: records its recovery latency,
+  /// leaves the queue and ends its span.
+  void finish_request(sim::Time first_fire, const std::string& span_label,
+                      std::uint32_t track);
 
   soc::Soc& soc_;
   BitstreamStore& store_;
   ManagerOptions options_;
   ManagerStats stats_;
   TileHealthRegistry health_;
-  /// The single PRC/ICAP: in pipelined mode this guards only the program
-  /// (ICAP streaming) stage; in serial mode, the whole transfer.
+  /// The single PRC/ICAP: guards the program (ICAP streaming) stage, the
+  /// escalation's blanking transfer and readbacks.
   sim::Semaphore prc_lock_;
   /// Serializes the DFXC fetch engine (one DMA+CRC in flight).
   sim::Semaphore fetch_lock_;
-  /// Bounded fetch->program buffer: one credit per DFXC staging slot.
+  /// Bounded fetch->program buffer: one credit per DFXC staging slot
+  /// (SocOptions::dfxc_staging_slots), so the controller does not nack
+  /// a fetch for a full buffer.
   sim::Semaphore staging_sem_;
   /// Guards the shared DFXC address/length/target register file so a
   /// fetch-stage write sequence never interleaves with a program-stage

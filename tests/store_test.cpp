@@ -74,34 +74,57 @@ class StoreFixture : public ::testing::Test {
 
 // ------------------------------------------------- fetch/program overlap
 
-/// Loads one module on each reconfigurable tile (both requests issued in
-/// the same cycle) and returns the total simulated time.
-sim::Time run_two_tile_workload(bool pipelined) {
+struct TwoTileRun {
+  sim::Time cycles = 0;
+  ManagerStats stats;
+};
+
+/// Loads acc_a on tile 3 and acc_c on tile 4 on a fresh SoC whose DFX
+/// controller has `dfxc_slots` staging slots, with `pbs_bytes` images.
+/// `concurrent` issues both requests in the same cycle; otherwise the
+/// second is issued once the first has completed. Returns the total
+/// simulated time and the manager's stats.
+TwoTileRun run_two_tile_workload(bool concurrent, int dfxc_slots = 2,
+                                 std::size_t pbs_bytes = kPbsBytes) {
   auto registry = test_registry();
-  soc::Soc soc(netlist::SocConfig::parse(kSocText), registry);
+  soc::SocOptions soc_options;
+  soc_options.dfxc_staging_slots = dfxc_slots;
+  soc::Soc soc(netlist::SocConfig::parse(kSocText), registry, soc_options);
   BitstreamStore store(soc.memory());
   for (const int tile : {3, 4})
     for (const char* module : {"acc_a", "acc_b", "acc_c"})
-      store.add(tile, module, kPbsBytes);
-  ManagerOptions options;
-  options.pipelined = pipelined;
-  ReconfigurationManager manager(soc, store, options);
+      store.add(tile, module, pbs_bytes);
+  ReconfigurationManager manager(soc, store);
 
   Completion d1(soc.kernel());
   Completion d2(soc.kernel());
   manager.ensure_module(3, "acc_a", d1);
+  if (!concurrent) soc.kernel().run();
   manager.ensure_module(4, "acc_c", d2);
   soc.kernel().run();
   EXPECT_TRUE(d1.ok());
   EXPECT_TRUE(d2.ok());
-  EXPECT_EQ(manager.stats().pipelined_fetches, pipelined ? 2u : 0u);
-  return soc.kernel().now();
+  return {soc.kernel().now(), manager.stats()};
 }
 
-TEST(StorePipelineTest, PipelinedModeBeatsSerialOnConcurrentRequests) {
-  const sim::Time serial = run_two_tile_workload(false);
-  const sim::Time pipelined = run_two_tile_workload(true);
-  EXPECT_LT(pipelined, serial);
+TEST(StorePipelineTest, ConcurrentRequestsFinishBeforeBackToBackOnes) {
+  // Back to back, neither request has a program stage to overlap; issued
+  // together, the second fetch runs under the first one's ICAP stream.
+  const TwoTileRun back_to_back = run_two_tile_workload(false);
+  const TwoTileRun concurrent = run_two_tile_workload(true);
+  EXPECT_LT(concurrent.cycles, back_to_back.cycles);
+  EXPECT_EQ(back_to_back.stats.pipelined_fetches, 2u);
+  EXPECT_EQ(concurrent.stats.pipelined_fetches, 2u);
+}
+
+TEST(StorePipelineTest, StagingDepthComesFromTheDfxc) {
+  // One staging slot: the second request must wait for the slot rather
+  // than have its fetch nacked. With 1 MB images the first one holds the
+  // slot for longer than the retry budget's backoffs last.
+  const TwoTileRun run = run_two_tile_workload(true, 1, 1'000'000);
+  EXPECT_EQ(run.stats.reconfigurations, 2u);
+  EXPECT_EQ(run.stats.dropped_trigger_retries, 0u);
+  EXPECT_EQ(run.stats.quarantines, 0u);
 }
 
 TEST_F(StoreFixture, NextRequestFetchStartsBeforePreviousProgramEnds) {

@@ -22,6 +22,13 @@
 #              repacker-off even with kRepackAbort faults armed, and the
 #              repack-on replay must be deterministic; frag-before/after
 #              and the migration count land in the summary
+#   chaos      the runtime manager's recovery oracle: tools/run_chaos.sh
+#              runs bench_chaos seeds 1..8 twice each and diffs the
+#              runs, then the default bench_chaos soak runs; between them
+#              they drive every recovery branch (ICAP stall, DFXC hang,
+#              stuck decoupler, SEU, NoC corruption, quarantine
+#              escalation), and any lost frame, missed acceptance check
+#              or replay diff fails the stage
 #   ops        live ops plane gate: the ops_test suite (HTTP endpoints,
 #              SSE fan-out, snapshot-under-mutation), a fleet soak with
 #              the embedded server live (8 SSE clients, one deliberately
@@ -65,7 +72,7 @@ TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 CONFIG_FLAGS=${CONFIG_FLAGS:-}
 TIER1_SUMMARY=${TIER1_SUMMARY:-tier1_summary.json}
 
-ALL_STAGES="build lint trace workflows fleet defrag ops asan tsan"
+ALL_STAGES="build lint trace workflows fleet defrag chaos ops asan tsan"
 
 # ----------------------------------------------------------------- stages
 # Each stage body runs in a `set -e` subshell; any failing command fails
@@ -217,6 +224,24 @@ stage_defrag() {
       > .tier1_stage_extra
   echo "tier-1 defrag: soak clean, frag $frag_before -> $frag_after," \
       "$migrations migrations ($DEFRAG_JSON)"
+}
+
+stage_chaos() {
+  cmake --build "$BUILD_DIR" --target bench_chaos -j
+  CHAOS_BIN="$BUILD_DIR/bench/bench_chaos"
+  # Seed sweep: each seed's run is replayed and diffed; the script exits
+  # non-zero on a failed acceptance check or a nondeterministic seed.
+  BENCH="$CHAOS_BIN" tools/run_chaos.sh 1 8
+  # Default soak (>= 1000 faults over every injection site, replayed
+  # once): bench_chaos itself exits non-zero on a lost frame, an
+  # uncovered site or a replay mismatch.
+  chaos_out=$("$CHAOS_BIN") || {
+    echo "$chaos_out"
+    echo "tier-1: bench_chaos soak failed its acceptance checks" >&2
+    return 1
+  }
+  printf '%s\n' "$chaos_out" | tail -n 3
+  echo "tier-1 chaos: seeds 1..8 deterministic, soak accepted"
 }
 
 stage_ops() {
