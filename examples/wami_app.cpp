@@ -4,12 +4,8 @@
 // and verifies every frame bit-exactly against the software pipeline.
 //
 // Build and run:
-//   ./build/examples/wami_app [frames] [--trace out.json]
-//                             [--cache-slots N] [--prefetch] [--ops-port N]
+//   ./build/examples/wami_app [frames] [--trace out.json] [--ops-port N]
 //
-// --cache-slots bounds kernel DRAM to N partial-bitstream slots (LRU,
-// filled from the async source); --prefetch warms each tile's next
-// kernel while the current one runs.
 // --ops-port serves live telemetry on 127.0.0.1:N while the app runs
 // (0 = ephemeral): curl /metrics, /health (tile health + quarantine
 // stats from the reconfiguration manager), /trace/summary, /events.
@@ -51,10 +47,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-categories") == 0 &&
                i + 1 < argc) {
       trace_categories = argv[++i];
-    } else if (std::strcmp(argv[i], "--cache-slots") == 0 && i + 1 < argc) {
-      options.store.cache_slots = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--prefetch") == 0) {
-      options.prefetch_next_kernel = true;
     } else if (std::strcmp(argv[i], "--ops-port") == 0 && i + 1 < argc) {
       ops_port = std::atoi(argv[++i]);
     } else {
@@ -166,16 +158,5 @@ int main(int argc, char** argv) {
       static_cast<double>(manager_stats.prc_wait_cycles) / 78e3,
       static_cast<double>(manager_stats.lock_wait_cycles) / 78e3,
       manager_stats.max_queue_depth);
-  if (options.store.cache_slots > 0) {
-    const auto& ss = app.store().stats();
-    std::printf(
-        "bitstream cache: %d slots, %llu hits / %llu misses / %llu "
-        "evictions, %.1f MB from source\n",
-        options.store.cache_slots,
-        static_cast<unsigned long long>(ss.hits),
-        static_cast<unsigned long long>(ss.misses),
-        static_cast<unsigned long long>(ss.evictions),
-        static_cast<double>(ss.source_bytes) / 1e6);
-  }
   return result.all_verified ? 0 : 1;
 }

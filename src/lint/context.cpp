@@ -252,10 +252,6 @@ ReconfPlan LintContext::parse_plan() {
         plan.backoff_base_cycles = parse_int(value);
       } else if (key == "watchdog_reconf_margin") {
         plan.watchdog_reconf_margin = parse_double(value);
-      } else if (key == "store_cache_slots") {
-        plan.store_cache_slots = static_cast<int>(parse_int(value));
-      } else if (key == "store_slot_bytes") {
-        plan.store_slot_bytes = parse_int(value);
       } else if (key == "repack_interval_cycles") {
         plan.repack_interval_cycles = parse_int(value);
         plan.repack_declared = true;

@@ -98,11 +98,6 @@ struct ReconfPlan {
   int max_attempts = 0;
   long long backoff_base_cycles = 0;
   double watchdog_reconf_margin = 0.0;
-  /// Bitstream-store residency: 0 = eager (every image DRAM-resident),
-  /// > 0 = LRU cache with that many slots (runtime::StoreOptions).
-  int store_cache_slots = 0;
-  /// Bytes per cache slot; 0 = sized to the largest registered image.
-  long long store_slot_bytes = 0;
   /// Defragmentation repacker knobs (repack_* keys in [runtime];
   /// defaulted from runtime::RepackerOptions). repack_declared is set
   /// when any repack_* key appears.

@@ -672,61 +672,6 @@ void check_retry_budget(LintContext& ctx, DiagnosticEngine& engine) {
                 "use a margin of at least 1.0 (default 8.0)"});
 }
 
-void check_store_capacity(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  if (!plan.declared || plan.store_cache_slots == 0) return;
-  const int line = ctx.line_of_section("runtime");
-  const SourceLoc loc{ctx.file(), line, "runtime"};
-  if (plan.store_cache_slots < 0) {
-    engine.add({"runtime.store-capacity", Severity::kError, loc,
-                "store_cache_slots " +
-                    std::to_string(plan.store_cache_slots) +
-                    " is negative",
-                "use 0 for the eager store or a positive slot count"});
-    return;
-  }
-  if (plan.store_cache_slots == 1)
-    engine.add({"runtime.store-capacity", Severity::kWarning, loc,
-                "store_cache_slots 1 degrades the fetch/program overlap "
-                "to serial: the single slot stays pinned across a "
-                "request's fetch and program stages, so the next "
-                "request's fetch cannot start until it completes",
-                "use at least 2 cache slots (double buffer)"});
-  if (plan.store_slot_bytes <= 0) return;
-  // A slot must hold the largest partial bitstream any manifest entry can
-  // ask for; estimated at ~11 bytes of compressed frames per LUT (the
-  // Table VI range for WAMI-sized kernels).
-  const auto& lib = ctx.library();
-  long long largest = 0;
-  std::string largest_module;
-  for (const auto& [tile, modules] : ctx.manifest()) {
-    for (const std::string& module : modules) {
-      try {
-        const auto need = netlist::SocRtl::module_resources(lib, module);
-        const long long bytes = static_cast<long long>(need.luts) * 11;
-        if (bytes > largest) {
-          largest = bytes;
-          largest_module = module;
-        }
-      } catch (const std::exception&) {
-        // Unknown accelerator: netlist.unknown-accelerator owns that.
-      }
-    }
-  }
-  if (largest > plan.store_slot_bytes)
-    engine.add({"runtime.store-capacity", Severity::kError, loc,
-                "store_slot_bytes " +
-                    std::to_string(plan.store_slot_bytes) +
-                    " cannot hold module '" + largest_module + "' (~" +
-                    std::to_string(largest) +
-                    " B estimated at 11 B/LUT): every acquire of it "
-                    "would abort the runtime",
-                "raise store_slot_bytes to at least " +
-                    std::to_string(largest) +
-                    " or leave it 0 to size slots from the largest "
-                    "registered image"});
-}
-
 // -------------------------------------------------------- fleet rules
 // The [fleet] section is parsed leniently by FleetTopology::from_config
 // (FleetManager re-validates and throws); these rules are where
@@ -1456,11 +1401,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            "watchdog retry budget and backoff tuning are sane",
            Severity::kWarning},
           check_retry_budget);
-    r.add({"runtime.store-capacity", "runtime",
-           "the bitstream cache holds the largest partial bitstream and "
-           "enough slots for fetch/program overlap",
-           Severity::kWarning},
-          check_store_capacity);
     r.add({"runtime.repacker-bounds", "runtime",
            "defragmentation repacker interval, migration caps and budget "
            "are sane and defer to the foreground retry budget",

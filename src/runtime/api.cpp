@@ -5,14 +5,6 @@
 
 namespace presp::runtime {
 
-sim::Process DprApi::prefetch(int tile, std::string module) {
-  // Frame-local completion: the coroutine owns everything it waits on, so
-  // callers can drop the returned handle entirely.
-  sim::SimEvent warmed(soc_.kernel());
-  store_.prefetch(soc_.kernel(), tile, module, warmed);
-  co_await warmed.wait();
-}
-
 sim::Process BareMetalDriver::run(int tile, std::string module,
                                   soc::AccelTask task,
                                   sim::SimEvent& done) {

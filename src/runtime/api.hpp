@@ -1,11 +1,11 @@
-// User-space DPR API and the bare-metal driver variant (paper Section V:
-// "Linux and bare-metal drivers ... a user-space API to expose DPR
-// services to applications").
+// Bare-metal driver variant (paper Section V: "Linux and bare-metal
+// drivers ... a user-space API to expose DPR services to applications").
 //
-// DprApi is the Linux path: applications mmap their partial bitstreams,
-// hand them to the API (which copies them into kernel memory via the
-// BitstreamStore), then invoke accelerators by (tile, module); the kernel
-// manager handles locking, reconfiguration scheduling and driver swaps.
+// The Linux path's user-space API is the ReconfigurationManager's public
+// methods: applications register their partial bitstreams with the
+// BitstreamStore, then invoke accelerators by (tile, module) through the
+// manager, which handles locking, reconfiguration scheduling and driver
+// swaps.
 //
 // BareMetalDriver is the no-OS path: it programs the decoupler and DFX
 // controller directly and busy-polls status registers instead of taking
@@ -15,64 +15,6 @@
 #include "runtime/manager.hpp"
 
 namespace presp::runtime {
-
-class DprApi {
- public:
-  DprApi(soc::Soc& soc, ReconfigurationManager& manager,
-         BitstreamStore& store)
-      : soc_(soc), manager_(manager), store_(store) {}
-
-  /// Registers a user-space (mmapped) partial bitstream with the kernel.
-  void load_bitstream(int tile, const std::string& module,
-                      std::size_t bytes,
-                      std::span<const std::uint8_t> payload = {},
-                      std::uint32_t crc = 0) {
-    store_.add(tile, module, bytes, payload, crc);
-  }
-
-  /// Synchronous accelerator invocation from a software thread: ensures
-  /// the module is resident, runs the task, signals `done`.
-  sim::Process invoke(int tile, const std::string& module,
-                      const soc::AccelTask& task, sim::SimEvent& done) {
-    return manager_.run(tile, module, task, done);
-  }
-
-  /// Status-reporting variant: `done` carries the final RequestStatus and
-  /// the tile the task actually ran on (re-routing may move it).
-  sim::Process invoke(int tile, const std::string& module,
-                      const soc::AccelTask& task, Completion& done) {
-    return manager_.run(tile, module, task, done);
-  }
-
-  /// Prefetch-style reconfiguration without running a task.
-  sim::Process prepare(int tile, const std::string& module,
-                       sim::SimEvent& done) {
-    return manager_.ensure_module(tile, module, done);
-  }
-
-  sim::Process prepare(int tile, const std::string& module,
-                       Completion& done) {
-    return manager_.ensure_module(tile, module, done);
-  }
-
-  /// Cache warm-up hint: pulls (tile, module)'s partial bitstream from
-  /// its async source into kernel DRAM ahead of the reconfiguration that
-  /// will need it, without touching the fabric. Fire-and-forget; a no-op
-  /// for eager stores. `done` triggers once the image is resident.
-  sim::Process prefetch(int tile, const std::string& module,
-                        sim::SimEvent& done) {
-    return store_.prefetch(soc_.kernel(), tile, module, done);
-  }
-
-  /// Fire-and-forget variant for pipelining application code: the warmed
-  /// image just stays in cache until the next acquire.
-  sim::Process prefetch(int tile, std::string module);
-
- private:
-  soc::Soc& soc_;
-  ReconfigurationManager& manager_;
-  BitstreamStore& store_;
-};
 
 struct BareMetalStats {
   std::uint64_t polls = 0;

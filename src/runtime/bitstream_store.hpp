@@ -6,32 +6,18 @@
 // the bitstreams, their physical addresses, the tiles they will be loaded
 // into, and their respective drivers."
 //
-// Two residency policies share one interface:
-//
-//   eager (cache_slots == 0, the legacy default): add() copies every
-//   image into its own DRAM region immediately and it stays resident
-//   forever; acquire() completes synchronously.
-//
-//   cached (cache_slots > 0): DRAM holds a fixed number of slot-sized
-//   slabs managed LRU. add() only records metadata and hands the payload
-//   to an AsyncBitstreamSource; acquire() pins the image, filling a slot
-//   on miss by co_awaiting the source's modeled latency while the real
-//   asynchronous read completes. Pinned images (in-flight fetch/program)
-//   are never evicted; blanking images are always eager so escalation
-//   paths cannot miss.
-//
-// Hit/miss/eviction counts land in both StoreStats and the global
-// MetricsRegistry (runtime.store.*).
+// add() copies every image into its own DRAM region at once and it stays
+// resident for the life of the store, so a reconfiguration request looks
+// its image up synchronously. Lookups land in both StoreStats and the
+// global MetricsRegistry (runtime.store.cache_hits).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "runtime/bitstream_source.hpp"
-#include "sim/kernel.hpp"
 #include "soc/memory.hpp"
 
 namespace presp::runtime {
@@ -39,124 +25,51 @@ namespace presp::runtime {
 struct BitstreamImage {
   std::string module;
   int tile = -1;
-  /// Physical DRAM address. Fixed for eager images; assigned per fetch
-  /// (slot slab) for cached images — only valid while resident.
+  /// Physical DRAM address of the kernel copy.
   std::uint64_t address = 0;
   std::size_t bytes = 0;
   std::uint32_t crc = 0;
 };
 
-struct StoreOptions {
-  /// 0 = eager (every image DRAM-resident, the legacy behavior); > 0 =
-  /// number of LRU cache slots. 1 slot still works but degrades the
-  /// manager's fetch/program overlap to serial (presp-lint warns).
-  int cache_slots = 0;
-  /// Bytes per cache slot; 0 = sized to the largest image registered
-  /// before the first fetch. Every image must fit one slot.
-  std::size_t slot_bytes = 0;
-};
-
 struct StoreStats {
   std::uint64_t hits = 0;
+  // Every image is resident from add() on: the store never misses or waits.
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  /// Payload fetches served by the async source (== misses).
-  std::uint64_t source_fetches = 0;
-  std::uint64_t source_bytes = 0;
-  /// Cycles acquire() calls spent waiting (slot contention + fetch).
   long long fetch_wait_cycles = 0;
-};
-
-/// Completion channel of BitstreamStore::acquire: the pinned, resident
-/// image is published here before `done` triggers. Must outlive the call.
-struct StoreTicket {
-  explicit StoreTicket(sim::Kernel& kernel) : done(kernel) {}
-  BitstreamImage image;
-  sim::SimEvent done;
 };
 
 class BitstreamStore {
  public:
-  /// `source` feeds cache misses; cached stores default to an internal
-  /// MemoryBitstreamSource when none is given. Not owned when non-null;
-  /// must outlive the store.
-  explicit BitstreamStore(soc::MainMemory& memory, StoreOptions options = {},
-                          AsyncBitstreamSource* source = nullptr);
+  explicit BitstreamStore(soc::MainMemory& memory) : memory_(memory) {}
 
-  /// Registers a partial bitstream for `module` targeting `tile`.
-  /// `payload` may be empty (timing-only experiments); its size is then
-  /// taken from `bytes`. Eager stores copy it into kernel DRAM now;
-  /// cached stores hand it to the async source.
+  /// Registers a partial bitstream for `module` targeting `tile` and
+  /// copies it into kernel DRAM. `payload` may be empty (timing-only
+  /// experiments); its size is then taken from `bytes`.
   const BitstreamImage& add(int tile, const std::string& module,
                             std::size_t bytes,
                             std::span<const std::uint8_t> payload = {},
                             std::uint32_t crc = 0);
 
   /// Registers the blanking ("greybox") bitstream for a tile's partition:
-  /// module name is empty; loading it leaves the partition empty. Always
-  /// eager-resident, so recovery paths never block on a cache miss.
+  /// module name is empty; loading it leaves the partition empty.
   const BitstreamImage& add_blank(int tile, std::size_t bytes);
 
   bool has(int tile, const std::string& module) const;
-  /// Registered image. For cached stores the address is only meaningful
-  /// while the image is resident (acquire() pins it); use acquire() on
-  /// any path that hands the address to hardware.
   const BitstreamImage& get(int tile, const std::string& module) const;
-  bool resident(int tile, const std::string& module) const;
 
-  /// Pins (tile, module) DRAM-resident and publishes its image through
-  /// `ticket`. Synchronous for eager/permanent images; on a cache miss
-  /// waits for a slot (evicting the LRU unpinned image) and the source
-  /// fetch. Balance every acquire with release().
-  sim::Process acquire(sim::Kernel& kernel, int tile, std::string module,
-                       StoreTicket& ticket);
-  void release(int tile, const std::string& module);
-
-  /// Warms the cache: acquire + immediate unpin, leaving the image
-  /// resident but evictable. `done` triggers once it is resident.
-  sim::Process prefetch(sim::Kernel& kernel, int tile, std::string module,
-                        sim::SimEvent& done);
+  /// The image a reconfiguration or readback request hands to the DFX
+  /// controller; counts one store hit per call.
+  const BitstreamImage& lookup(int tile, const std::string& module);
 
   std::vector<BitstreamImage> images() const;
   std::size_t total_bytes() const;
 
   const StoreStats& stats() const { return stats_; }
-  const StoreOptions& options() const { return options_; }
-  AsyncBitstreamSource* source() const { return source_; }
 
  private:
-  struct Record {
-    BitstreamImage image;
-    bool permanent = false;  // eager image or blank: resident forever
-    bool resident = false;
-    int pins = 0;
-    int slot = -1;
-    std::uint64_t last_use = 0;
-    /// Set while a fetch is in flight; late acquirers wait on it.
-    std::shared_ptr<sim::SimEvent> fetching;
-  };
-
-  Record& record_at(int tile, const std::string& module);
-  /// Claims a slot slab address: a free slot, else evicts the LRU
-  /// unpinned resident (the credit discipline guarantees one exists).
-  int take_slot();
-  void ensure_cache(sim::Kernel& kernel);
-
   soc::MainMemory& memory_;
-  StoreOptions options_;
-  AsyncBitstreamSource* source_;
-  std::unique_ptr<AsyncBitstreamSource> owned_source_;
-  std::map<std::pair<int, std::string>, Record> records_;
+  std::map<std::pair<int, std::string>, BitstreamImage> images_;
   StoreStats stats_;
-  std::size_t max_image_bytes_ = 0;
-  std::size_t slot_bytes_ = 0;
-  std::vector<std::uint64_t> slot_addrs_;
-  std::vector<Record*> slot_owners_;
-  std::size_t resident_bytes_ = 0;
-  /// One credit per slot; held while a record is pinned. Created lazily
-  /// (needs a kernel, which only acquire() sees).
-  std::unique_ptr<sim::Semaphore> credits_;
-  std::uint64_t lru_tick_ = 0;
 };
 
 }  // namespace presp::runtime

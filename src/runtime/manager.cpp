@@ -225,11 +225,7 @@ sim::Process ReconfigurationManager::reconfigure_locked(
                       static_cast<sim::Time>(
                           options_.request_overhead_cycles));
 
-  // Source stage: pin the image DRAM-resident (cache fill / async read).
-  StoreTicket ticket(kernel);
-  store_.acquire(kernel, tile, module, ticket);
-  co_await ticket.done.wait();
-  const BitstreamImage image = ticket.image;
+  const BitstreamImage& image = store_.lookup(tile, module);
   const sim::Time watchdog = reconf_watchdog(image.bytes);
 
   // Admission into the bounded fetch->program buffer: at most one request
@@ -410,16 +406,14 @@ sim::Process ReconfigurationManager::reconfigure_locked(
     finish_request(first_fire, span_label, track);
     prc_lock_.release();
     staging_sem_.release();
-    store_.release(tile, module);
     done.complete(status, tile);
     co_return;
   }
 
-  // Programmed: the ICAP, the staging slot and the image pin are free for
-  // the next request before we even recouple.
+  // Programmed: the ICAP and the staging slot are free for the next
+  // request before we even recouple.
   prc_lock_.release();
   staging_sem_.release();
-  store_.release(tile, module);
 
   // 4. Re-enable the decoupler (resets the wrapper + NoC queues). An
   // injected stuck-at fault nacks the release; retry with backoff.
@@ -529,10 +523,7 @@ sim::Process ReconfigurationManager::verify_partition(int tile,
   if (trace::enabled(kTrc))
     trace::sim_begin(kTrc, "readback:" + module, kernel.now(), track);
   auto& cpu = soc_.cpu();
-  StoreTicket ticket(kernel);
-  store_.acquire(kernel, tile, module, ticket);
-  co_await ticket.done.wait();
-  const BitstreamImage image = ticket.image;
+  const BitstreamImage& image = store_.lookup(tile, module);
   const int aux = soc_.aux_tile_index();
   // The IRQ pump owns the raw aux stream; every waiter goes through its
   // per-tile mailbox.
@@ -603,7 +594,6 @@ sim::Process ReconfigurationManager::verify_partition(int tile,
   }
   if (trace::enabled(kTrc))
     trace::sim_end(kTrc, "readback:" + module, kernel.now(), track);
-  store_.release(tile, module);
   prc_lock_.release();
   tile_lock(tile).release();
   done.complete(status, tile);

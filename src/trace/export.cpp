@@ -1,6 +1,7 @@
 #include "trace/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -177,15 +178,18 @@ class JsonReader {
           case 'n': c = '\n'; break;
           case 't': c = '\t'; break;
           case 'r': c = '\r'; break;
-          case 'u':
+          case 'u': {
             // The writer only emits \u00XX for control bytes; decode the
             // low byte and ignore the high pair.
-            if (pos_ + 4 <= text_.size()) {
-              c = static_cast<char>(
-                  std::stoi(text_.substr(pos_ + 2, 2), nullptr, 16));
-              pos_ += 4;
-            }
+            const char* hex = text_.data() + pos_;
+            unsigned code = 0;
+            if (pos_ + 4 > text_.size() ||
+                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
+              fail("bad \\u escape");
+            c = static_cast<char>(code & 0xff);
+            pos_ += 4;
             break;
+          }
           default: c = esc;
         }
       }

@@ -271,8 +271,7 @@ WamiApp::WamiApp(char which, WamiAppOptions options)
                                     options_.soc);
   if (options_.fault.injector != nullptr)
     soc_->set_fault_injector(options_.fault.injector);
-  store_ = std::make_unique<runtime::BitstreamStore>(soc_->memory(),
-                                                     options_.store);
+  store_ = std::make_unique<runtime::BitstreamStore>(soc_->memory());
   manager_ = std::make_unique<runtime::ReconfigurationManager>(
       *soc_, *store_, options_.manager);
 
@@ -347,40 +346,16 @@ namespace {
 /// of the reconfiguration latency, which is exactly the effect the paper
 /// observes ("[SoC_X] has a higher non-interleaved reconfiguration due to
 /// the fewer number of reconfigurable tiles").
-/// Fire-and-forget cache warm-up: owns its completion event so callers
-/// can drop the handle (mirrors DprApi::prefetch).
-sim::Process warm_store(runtime::BitstreamStore& store, sim::Kernel& kernel,
-                        int tile, std::string module) {
-  sim::SimEvent warmed(kernel);
-  store.prefetch(kernel, tile, module, warmed);
-  co_await warmed.wait();
-}
-
 sim::Process tile_worker(soc::Soc& soc,
                          runtime::ReconfigurationManager& manager,
-                         runtime::BitstreamStore& store,
                          sim::Kernel& kernel, WamiApp::State& state,
                          int tile, std::vector<int> members, int iterations,
                          WamiWorkload workload,
                          std::uint64_t task_src, std::uint64_t task_dst) {
   std::sort(members.begin(), members.end());  // index order is topological
   for (int iter = 0; iter < iterations; ++iter) {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const int k = members[m];
+    for (const int k : members) {
       if (!node_scheduled(k, iter, iterations)) continue;
-      if (state.options.prefetch_next_kernel) {
-        // While this member reconfigures and runs, pull the next one's
-        // bitstream from the async source into the cache.
-        int next = -1;
-        for (std::size_t j = m + 1; j < members.size() && next < 0; ++j)
-          if (node_scheduled(members[j], iter, iterations)) next = members[j];
-        for (std::size_t j = 0;
-             next < 0 && iter + 1 < iterations && j < members.size(); ++j)
-          if (node_scheduled(members[j], iter + 1, iterations))
-            next = members[j];
-        if (next >= 0 && store.has(tile, kernel_name(next)))
-          warm_store(store, kernel, tile, kernel_name(next));
-      }
       // Prefetch: swap the partition to this member immediately; the ICAP
       // transfer overlaps the wait for upstream producers. A non-ok
       // prefetch is ignored: run() below re-routes or reports the final
@@ -489,7 +464,7 @@ WamiAppResult WamiApp::run() {
             node_scheduled(k, iter, iterations))
           virtual_node(*soc_, s, k, iter, iterations);
     for (std::size_t t = 0; t < partitions.size(); ++t)
-      tile_worker(*soc_, *manager_, *store_, kernel, s, reconf_indices[t],
+      tile_worker(*soc_, *manager_, kernel, s, reconf_indices[t],
                   partitions[t], iterations, options_.workload, s.gray,
                   s.mask);
 

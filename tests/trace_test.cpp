@@ -211,6 +211,18 @@ TEST(ChromeTraceTest, RoundTripThroughParser) {
   EXPECT_EQ(begins, 2);
   EXPECT_EQ(counters, 1);
   EXPECT_THROW(trace::parse_chrome_trace("{not json"), ConfigError);
+  const auto with_name = [](const std::string& name) {
+    return R"({"traceEvents":[{"name":")" + name +
+           R"(","ph":"i","ts":0,"pid":1,"tid":1}]})";
+  };
+  EXPECT_THROW(trace::parse_chrome_trace(with_name("a\\uZZZZb")),
+               ConfigError);
+  EXPECT_THROW(trace::parse_chrome_trace(with_name("a\\u00")),
+               ConfigError);
+  const trace::ParsedTrace escaped =
+      trace::parse_chrome_trace(with_name("a\\u000ab"));
+  ASSERT_EQ(escaped.events.size(), 1u);
+  EXPECT_EQ(escaped.events[0].name, "a\nb");
 }
 
 TEST(ChromeTraceTest, SummaryComputesSelfTimeAndExtents) {
