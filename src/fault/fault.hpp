@@ -186,7 +186,7 @@ class FaultPlan {
   void arm(FaultInjector& injector) const;
 
   /// One line per spec, stable formatting — the determinism property
-  /// tests and tools/run_chaos.sh diff this.
+  /// tests and the bench_soak chaos replay diff this.
   std::string describe() const;
 
  private:

@@ -24,7 +24,7 @@
 // Everything outside the shard kernels runs in host code on one thread
 // between quanta, and every random draw comes from one seeded stream —
 // the whole fleet replays bit-identically (digest() is the proof the
-// tests and bench_fleet diff).
+// tests and bench_soak diff).
 //
 // The breakers are the overload backpressure path: a stalled or sick
 // shard stops completing work, its in-flight requests age past their

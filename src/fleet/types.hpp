@@ -2,7 +2,7 @@
 // errors, the client request record and the fleet-wide stats block.
 //
 // The invariants the whole layer is built around (asserted by
-// FleetManager::check_invariants and the tier-1 fleet stage):
+// FleetManager::check_invariants and the bench_soak fleet scenario):
 //
 //   submitted == completed_ok + completed_fallback + completed_failed
 //                + shed_total            (no request is ever silently lost)

@@ -20,7 +20,7 @@
 // Observer contract: handlers only ever read snapshots (MetricsRegistry
 // copies, FleetOpsSnapshot, TraceSession::snapshot) — they never touch
 // live scheduler state, so serving traffic cannot perturb a fleet run's
-// virtual-time results (the bench_fleet replay gate proves it).
+// virtual-time results (the bench_soak fleet replay gate proves it).
 #pragma once
 
 #include <atomic>

@@ -124,7 +124,7 @@ struct ManagerOptions {
   /// Seed of the per-manager jitter stream. The stream is consumed in
   /// simulation event order, which is deterministic, so two runs with the
   /// same seed (and workload) produce identical backoff schedules —
-  /// tools/run_chaos.sh diffs rely on this.
+  /// the bench_soak replays rely on this.
   std::uint64_t backoff_seed = 0x9e3779b97f4a7c15ULL;
   /// Watchdog recoveries per request before the tile is quarantined.
   int retry_budget = 3;

@@ -1,6 +1,6 @@
 // Fault-injection library: trigger-count semantics of the injector hooks
 // and the determinism property of seeded FaultPlans (the contract
-// bench_chaos and tools/run_chaos.sh rely on).
+// the bench_soak chaos replay relies on).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -80,7 +80,7 @@ FaultPlanOptions plan_options(std::uint64_t seed) {
 }
 
 TEST(FaultPlan, SameSeedReproducesIdenticalSchedule) {
-  // The property bench_chaos's self-check and tools/run_chaos.sh build
+  // The property the bench_soak chaos replay builds
   // on: a plan is a pure function of its options.
   for (const std::uint64_t seed : {1ull, 2ull, 42ull, 0xdeadbeefull}) {
     const FaultPlan a(plan_options(seed));

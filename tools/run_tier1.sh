@@ -12,35 +12,20 @@
 #   workflows  .github/workflows/*.yml parse (actionlint when available,
 #              else a PyYAML structural check) and ci.yml's jobs must
 #              map 1:1 onto this script's stage names
-#   fleet      short deterministic fleet soak (bench_fleet) under
-#              injected shard stalls: zero lost completions, zero
-#              unexplained sheds, breaker diversion and a bit-identical
-#              replay are all hard failures
-#   defrag     short defrag chaos soak (bench_defrag): the background
-#              repacker must strictly improve the fragmentation ratio,
-#              workload outcomes must be bit-identical repacker-on vs
-#              repacker-off even with kRepackAbort faults armed, and the
-#              repack-on replay must be deterministic; frag-before/after
-#              and the migration count land in the summary
-#   chaos      the runtime manager's recovery oracle: tools/run_chaos.sh
-#              runs bench_chaos seeds 1..8 twice each and diffs the
-#              runs, then the default bench_chaos soak runs; between them
-#              they drive every recovery branch (ICAP stall, DFXC hang,
-#              stuck decoupler, SEU, NoC corruption, quarantine
-#              escalation), and any lost frame, missed acceptance check
-#              or replay diff fails the stage
 #   ops        live ops plane gate: the ops_test suite (HTTP endpoints,
-#              SSE fan-out, snapshot-under-mutation), a fleet soak with
-#              the embedded server live (8 SSE clients, one deliberately
-#              slow — drops must be counted, the replay must stay
-#              bit-identical) and a presp-lint --watch regression (an
+#              SSE fan-out, snapshot-under-mutation), a bench_soak fleet
+#              run with the embedded server live (8 SSE clients, one
+#              deliberately slow — drops must be counted, the replay must
+#              stay bit-identical) and a presp-lint --watch regression (an
 #              injected config edit must be re-linted within one poll)
-#   golden     the paper/ablation benches, the default bench_chaos soak
-#              and `wami_app 4` write their stdout, and short bench_fleet
-#              and bench_defrag runs their --json reports, to
+#   golden     the paper/ablation benches, `wami_app 4` and the default
+#              bench_soak chaos soak write their stdout, and short
+#              bench_soak fleet and defrag runs their --json reports, to
 #              $BUILD_DIR/golden/; `diff -u` against tests/golden/ fails
-#              the stage on any changed byte. To regenerate, copy those
-#              files over tests/golden/ and name the diff in CHANGES.md
+#              the stage on any changed byte, and so does a soak's own
+#              failure (an acceptance check, or a replay mismatch on any
+#              seed). To regenerate, copy those files over tests/golden/
+#              and name the diff in CHANGES.md
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
 #   tsan       ThreadSanitizer build running the exec unit tests
 #              (the owner-vs-thieves deque fan-out at pool widths 2/4/8,
@@ -77,7 +62,7 @@ TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 CONFIG_FLAGS=${CONFIG_FLAGS:-}
 TIER1_SUMMARY=${TIER1_SUMMARY:-tier1_summary.json}
 
-ALL_STAGES="build lint trace workflows fleet defrag chaos ops golden asan tsan"
+ALL_STAGES="build lint trace workflows ops golden asan tsan"
 
 # ----------------------------------------------------------------- stages
 # Each stage body runs in a `set -e` subshell; any failing command fails
@@ -186,71 +171,8 @@ PYEOF
   echo "tier-1 workflows: ci.yml stages map 1:1 onto run_tier1.sh stages"
 }
 
-stage_fleet() {
-  cmake --build "$BUILD_DIR" --target bench_fleet -j
-  FLEET_JSON="$BUILD_DIR/tier1_fleet.json"
-  # One seed, a short horizon: bench_fleet itself fails the stage on any
-  # lost completion, unexplained shed, missing stall/diversion or a
-  # determinism mismatch.
-  "$BUILD_DIR/bench/bench_fleet" 1 1 200 --json "$FLEET_JSON"
-  for field in p999_cycles shed_rate coalesce_rate; do
-    grep -q "\"$field\"" "$FLEET_JSON" || {
-      echo "tier-1: $FLEET_JSON is missing the \"$field\" field" >&2
-      return 1
-    }
-  done
-  echo "tier-1 fleet: soak clean, report fields present ($FLEET_JSON)"
-}
-
-stage_defrag() {
-  cmake --build "$BUILD_DIR" --target bench_defrag -j
-  DEFRAG_JSON="$BUILD_DIR/tier1_defrag.json"
-  # One seed, a short horizon: bench_defrag itself fails the stage unless
-  # fragmentation strictly improved, workload outcomes were bit-identical
-  # repacker-on vs repacker-off under kRepackAbort chaos, and the
-  # repack-on replay reproduced its digest.
-  "$BUILD_DIR/bench/bench_defrag" 1 1 150 --json "$DEFRAG_JSON"
-  for field in frag_before frag_after migrations p99_cycles_on \
-      p99_cycles_off bit_identical; do
-    grep -q "\"$field\"" "$DEFRAG_JSON" || {
-      echo "tier-1: $DEFRAG_JSON is missing the \"$field\" field" >&2
-      return 1
-    }
-  done
-  # Surface frag-before/after and the migration count into
-  # tier1_summary.json (runner merges this fragment into the stage row).
-  frag_before=$(sed -n 's/.*"frag_before": \([0-9.e+-]*\).*/\1/p' \
-      "$DEFRAG_JSON")
-  frag_after=$(sed -n 's/.*"frag_after": \([0-9.e+-]*\).*/\1/p' \
-      "$DEFRAG_JSON")
-  migrations=$(sed -n 's/.*"migrations": \([0-9]*\).*/\1/p' "$DEFRAG_JSON")
-  printf '"frag_before":%s,"frag_after":%s,"migrations":%s' \
-      "${frag_before:-0}" "${frag_after:-0}" "${migrations:-0}" \
-      > .tier1_stage_extra
-  echo "tier-1 defrag: soak clean, frag $frag_before -> $frag_after," \
-      "$migrations migrations ($DEFRAG_JSON)"
-}
-
-stage_chaos() {
-  cmake --build "$BUILD_DIR" --target bench_chaos -j
-  CHAOS_BIN="$BUILD_DIR/bench/bench_chaos"
-  # Seed sweep: each seed's run is replayed and diffed; the script exits
-  # non-zero on a failed acceptance check or a nondeterministic seed.
-  BENCH="$CHAOS_BIN" tools/run_chaos.sh 1 8
-  # Default soak (>= 1000 faults over every injection site, replayed
-  # once): bench_chaos itself exits non-zero on a lost frame, an
-  # uncovered site or a replay mismatch.
-  chaos_out=$("$CHAOS_BIN") || {
-    echo "$chaos_out"
-    echo "tier-1: bench_chaos soak failed its acceptance checks" >&2
-    return 1
-  }
-  printf '%s\n' "$chaos_out" | tail -n 3
-  echo "tier-1 chaos: seeds 1..8 deterministic, soak accepted"
-}
-
 stage_ops() {
-  cmake --build "$BUILD_DIR" --target ops_test bench_fleet presp-lint -j
+  cmake --build "$BUILD_DIR" --target ops_test bench_soak presp-lint -j
 
   # Unit + endpoint suite: options, SSE ring/hub/framing, snapshot
   # consistency under writer threads, the server end to end (404/405,
@@ -258,12 +180,12 @@ stage_ops() {
   # the lint watcher.
   "$BUILD_DIR"/tests/ops_test
 
-  # Fleet soak with the ops overlay live: bench_fleet itself fails on
+  # Fleet soak with the ops overlay live: bench_soak itself fails on
   # any endpoint error mid-run, on a slow SSE client whose drops never
   # got counted, and on a replay (no server) that is not bit-identical
   # to the observed run.
   OPS_JSON="$BUILD_DIR/tier1_ops_fleet.json"
-  "$BUILD_DIR"/bench/bench_fleet 1 1 120 --ops-port 0 --json "$OPS_JSON"
+  "$BUILD_DIR"/bench/bench_soak fleet 1 1 120 --ops-port 0 --json "$OPS_JSON"
   grep -q '"ops_enabled": true' "$OPS_JSON" || {
     echo "tier-1: $OPS_JSON does not record the ops overlay" >&2
     return 1
@@ -317,12 +239,11 @@ GOLDEN_BENCHES="bench_table1_strategies bench_table2_resources \
 bench_table3_characterization bench_table4_parallelism \
 bench_table5_vs_monolithic bench_table6_bitstreams bench_fig3_profiles \
 bench_fig4_wami_socs bench_ablation_runtime bench_ablation_devices \
-bench_ablation_model bench_ablation_strategy bench_chaos"
+bench_ablation_model bench_ablation_strategy"
 
 stage_golden() {
   # shellcheck disable=SC2086  # GOLDEN_BENCHES is a word list
-  cmake --build "$BUILD_DIR" --target $GOLDEN_BENCHES bench_fleet \
-      bench_defrag wami_app -j
+  cmake --build "$BUILD_DIR" --target $GOLDEN_BENCHES bench_soak wami_app -j
   GOLDEN_OUT="$BUILD_DIR/golden"
   rm -rf "$GOLDEN_OUT"
   mkdir -p "$GOLDEN_OUT"
@@ -330,11 +251,14 @@ stage_golden() {
     "$BUILD_DIR/bench/$b" > "$GOLDEN_OUT/$b.txt"
   done
   "$BUILD_DIR/examples/wami_app" 4 > "$GOLDEN_OUT/wami_app_4.txt"
+  SOAK="$BUILD_DIR/bench/bench_soak"
+  "$SOAK" chaos > "$GOLDEN_OUT/soak_chaos.txt" || {
+    cat "$GOLDEN_OUT/soak_chaos.txt"
+    return 1
+  }
   # Their stdout names the --json path, so only the reports are compared.
-  "$BUILD_DIR/bench/bench_fleet" 1 1 200 \
-      --json "$GOLDEN_OUT/bench_fleet.json" >/dev/null
-  "$BUILD_DIR/bench/bench_defrag" 1 1 150 \
-      --json "$GOLDEN_OUT/bench_defrag.json" >/dev/null
+  "$SOAK" fleet 1 1 200 --json "$GOLDEN_OUT/soak_fleet.json"
+  "$SOAK" defrag 1 1 150 --json "$GOLDEN_OUT/soak_defrag.json"
   diff -u -r tests/golden "$GOLDEN_OUT"
   echo "tier-1 golden: $(ls "$GOLDEN_OUT" | wc -l) outputs match tests/golden"
 }
@@ -433,7 +357,7 @@ for stage in $SELECTED; do
     echo "tier-1: stage '$stage' FAILED" >&2
   fi
   stage_seconds=$(($(date +%s) - stage_start))
-  # A stage may leave extra JSON fields (e.g. defrag frag ratios)
+  # A stage may leave extra JSON fields (e.g. ops SSE drop counts)
   # in .tier1_stage_extra; merge them into its summary row.
   stage_extra=""
   if [ -s .tier1_stage_extra ]; then
