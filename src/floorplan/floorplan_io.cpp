@@ -1,26 +1,15 @@
 #include "floorplan/floorplan_io.hpp"
 
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace presp::floorplan {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-}
 
 void append_resources(std::string& out, const fabric::ResourceVec& vec) {
   out += "{\"luts\":" + std::to_string(vec.luts) +
@@ -36,128 +25,51 @@ void append_pblock(std::string& out, const fabric::Pblock& pb) {
          ",\"row_hi\":" + std::to_string(pb.row_hi) + "}";
 }
 
-// Minimal recursive-descent reader for the documents this module writes.
-// Mirrors the reader idiom used by the lint and trace JSON parsers.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
+fabric::ResourceVec read_resources(JsonReader& reader) {
+  fabric::ResourceVec vec;
+  reader.members([&](const std::string& key) {
+    const std::int64_t value =
+        reader.integer(std::numeric_limits<std::int64_t>::min(),
+                       std::numeric_limits<std::int64_t>::max());
+    if (key == "luts") vec.luts = value;
+    else if (key == "ffs") vec.ffs = value;
+    else if (key == "bram36") vec.bram36 = value;
+    else if (key == "dsp") vec.dsp = value;
+    else reader.fail("unknown resource field '" + key + "'");
+  });
+  return vec;
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c))
-      fail(std::string("expected '") + c + "'");
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) fail("expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return value;
-  }
-
-  std::int64_t integer() { return static_cast<std::int64_t>(number()); }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw ConfigError("floorplan json: " + what + " at offset " +
-                      std::to_string(pos_));
-  }
-
-  fabric::ResourceVec resources() {
-    fabric::ResourceVec vec;
-    expect('{');
-    if (!consume('}')) {
-      do {
-        const std::string key = string();
-        expect(':');
-        const std::int64_t value = integer();
-        if (key == "luts") vec.luts = value;
-        else if (key == "ffs") vec.ffs = value;
-        else if (key == "bram36") vec.bram36 = value;
-        else if (key == "dsp") vec.dsp = value;
-        else fail("unknown resource field '" + key + "'");
-      } while (consume(','));
-      expect('}');
-    }
-    return vec;
-  }
-
-  fabric::Pblock pblock() {
-    fabric::Pblock pb;
-    expect('{');
-    if (!consume('}')) {
-      do {
-        const std::string key = string();
-        expect(':');
-        const int value = static_cast<int>(integer());
-        if (key == "col_lo") pb.col_lo = value;
-        else if (key == "col_hi") pb.col_hi = value;
-        else if (key == "row_lo") pb.row_lo = value;
-        else if (key == "row_hi") pb.row_hi = value;
-        else fail("unknown pblock field '" + key + "'");
-      } while (consume(','));
-      expect('}');
-    }
-    return pb;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+fabric::Pblock read_pblock(JsonReader& reader) {
+  fabric::Pblock pb;
+  reader.members([&](const std::string& key) {
+    const int value = static_cast<int>(
+        reader.integer(std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max()));
+    if (key == "col_lo") pb.col_lo = value;
+    else if (key == "col_hi") pb.col_hi = value;
+    else if (key == "row_lo") pb.row_lo = value;
+    else if (key == "row_hi") pb.row_hi = value;
+    else reader.fail("unknown pblock field '" + key + "'");
+  });
+  return pb;
+}
 
 }  // namespace
 
 std::string render_floorplan_json(const FloorplanArtifact& artifact) {
   PRESP_REQUIRE(artifact.requests.size() == artifact.plan.pblocks.size(),
                 "floorplan artifact: request/pblock count mismatch");
-  std::string out = "{\n  \"design\": \"";
-  append_escaped(out, artifact.design);
-  out += "\",\n  \"device\": \"";
-  append_escaped(out, artifact.device);
-  out += "\",\n  \"partitions\": [";
+  std::string out = "{\n  \"design\": ";
+  append_json_string(out, artifact.design);
+  out += ",\n  \"device\": ";
+  append_json_string(out, artifact.device);
+  out += ",\n  \"partitions\": [";
   for (std::size_t i = 0; i < artifact.requests.size(); ++i) {
     out += (i == 0) ? "\n" : ",\n";
-    out += "    {\"name\": \"";
-    append_escaped(out, artifact.requests[i].name);
-    out += "\", \"demand\": ";
+    out += "    {\"name\": ";
+    append_json_string(out, artifact.requests[i].name);
+    out += ", \"demand\": ";
     append_resources(out, artifact.requests[i].demand);
     out += ", \"pblock\": ";
     append_pblock(out, artifact.plan.pblocks[i]);
@@ -173,51 +85,34 @@ std::string render_floorplan_json(const FloorplanArtifact& artifact) {
 
 FloorplanArtifact parse_floorplan_json(const std::string& text) {
   FloorplanArtifact artifact;
-  JsonReader reader(text);
-  reader.expect('{');
-  if (!reader.consume('}')) {
-    do {
-      const std::string key = reader.string();
-      reader.expect(':');
-      if (key == "design") {
-        artifact.design = reader.string();
-      } else if (key == "device") {
-        artifact.device = reader.string();
-      } else if (key == "partitions") {
-        reader.expect('[');
-        if (!reader.consume(']')) {
-          do {
-            PartitionRequest request;
-            fabric::Pblock pb;
-            reader.expect('{');
-            if (!reader.consume('}')) {
-              do {
-                const std::string field = reader.string();
-                reader.expect(':');
-                if (field == "name") request.name = reader.string();
-                else if (field == "demand") request.demand = reader.resources();
-                else if (field == "pblock") pb = reader.pblock();
-                else reader.fail("unknown partition field '" + field + "'");
-              } while (reader.consume(','));
-              reader.expect('}');
-            }
-            artifact.requests.push_back(request);
-            artifact.plan.pblocks.push_back(pb);
-          } while (reader.consume(','));
-          reader.expect(']');
-        }
-      } else if (key == "static_capacity") {
-        artifact.plan.static_capacity = reader.resources();
-      } else if (key == "waste") {
-        artifact.plan.waste = reader.number();
-      } else {
-        reader.fail("unknown field '" + key + "'");
-      }
-    } while (reader.consume(','));
-    reader.expect('}');
-  }
-  if (artifact.requests.size() != artifact.plan.pblocks.size())
-    throw ConfigError("floorplan json: request/pblock count mismatch");
+  JsonReader reader(text, "floorplan json");
+  reader.members([&](const std::string& key) {
+    if (key == "design") {
+      artifact.design = reader.string();
+    } else if (key == "device") {
+      artifact.device = reader.string();
+    } else if (key == "partitions") {
+      reader.elements([&] {
+        PartitionRequest request;
+        fabric::Pblock pb;
+        reader.members([&](const std::string& field) {
+          if (field == "name") request.name = reader.string();
+          else if (field == "demand") request.demand = read_resources(reader);
+          else if (field == "pblock") pb = read_pblock(reader);
+          else reader.fail("unknown partition field '" + field + "'");
+        });
+        artifact.requests.push_back(request);
+        artifact.plan.pblocks.push_back(pb);
+      });
+    } else if (key == "static_capacity") {
+      artifact.plan.static_capacity = read_resources(reader);
+    } else if (key == "waste") {
+      artifact.plan.waste = reader.number();
+    } else {
+      reader.fail("unknown field '" + key + "'");
+    }
+  });
+  reader.finish();
   return artifact;
 }
 

@@ -24,8 +24,8 @@ struct FloorplanArtifact {
 /// Renders the artifact as a JSON document.
 std::string render_floorplan_json(const FloorplanArtifact& artifact);
 /// Parses a document produced by render_floorplan_json(). Throws
-/// presp::ConfigError on malformed input (including a request/pblock
-/// count mismatch).
+/// presp::ConfigError on malformed input, an unknown field, an integer
+/// field out of its type's range or trailing content.
 FloorplanArtifact parse_floorplan_json(const std::string& text);
 
 /// File wrappers; throw presp::Error on I/O failure.

@@ -1,10 +1,9 @@
 #include "lint/diagnostic.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
-#include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace presp::lint {
 
@@ -15,13 +14,6 @@ const char* to_string(Severity severity) {
     case Severity::kInfo: return "info";
   }
   return "?";
-}
-
-Severity severity_from_string(const std::string& text) {
-  if (text == "error") return Severity::kError;
-  if (text == "warning") return Severity::kWarning;
-  if (text == "info") return Severity::kInfo;
-  throw ConfigError("unknown severity '" + text + "'");
 }
 
 bool DiagnosticEngine::add(Diagnostic diag) {
@@ -77,166 +69,24 @@ std::string render_text(const std::vector<Diagnostic>& diags) {
   return os.str();
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Minimal JSON reader for the diagnostic report schema: objects, arrays,
-/// strings and non-negative integers.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') value += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              value += static_cast<unsigned>(h - 'A' + 10);
-            else fail("malformed \\u escape");
-          }
-          // The writer only emits \u00XX for control bytes.
-          out += static_cast<char>(value & 0xFF);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  long long integer() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
-      ++pos_;
-    if (pos_ == start) fail("expected integer");
-    return std::stoll(text_.substr(start, pos_ - start));
-  }
-
-  /// Skips any JSON value (used for ignorable summary fields).
-  void skip_value() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("expected value");
-    const char c = text_[pos_];
-    if (c == '"') {
-      string();
-    } else if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      expect(c);
-      if (consume(close)) return;
-      do {
-        if (c == '{') {
-          string();
-          expect(':');
-        }
-        skip_value();
-      } while (consume(','));
-      expect(close);
-    } else {
-      integer();
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ConfigError("malformed diagnostics JSON at offset " +
-                      std::to_string(pos_) + ": " + why);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string render_json(const std::vector<Diagnostic>& diags) {
   std::string out = "{\n  \"diagnostics\": [";
   for (std::size_t i = 0; i < diags.size(); ++i) {
     const Diagnostic& d = diags[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"rule\": ";
-    append_escaped(out, d.rule);
+    append_json_string(out, d.rule);
     out += ", \"severity\": ";
-    append_escaped(out, to_string(d.severity));
+    append_json_string(out, to_string(d.severity));
     out += ", \"file\": ";
-    append_escaped(out, d.loc.file);
+    append_json_string(out, d.loc.file);
     out += ", \"line\": " + std::to_string(d.loc.line);
     out += ", \"object\": ";
-    append_escaped(out, d.loc.object);
+    append_json_string(out, d.loc.object);
     out += ", \"message\": ";
-    append_escaped(out, d.message);
+    append_json_string(out, d.message);
     out += ", \"fix_hint\": ";
-    append_escaped(out, d.fix_hint);
+    append_json_string(out, d.fix_hint);
     out += "}";
   }
   if (!diags.empty()) out += "\n  ";
@@ -276,7 +126,7 @@ std::string render_sarif(const std::vector<Diagnostic>& diags,
       "      \"tool\": {\n"
       "        \"driver\": {\n"
       "          \"name\": ";
-  append_escaped(out, tool_name);
+  append_json_string(out, tool_name);
   out += ",\n          \"rules\": [";
   // Deduplicated, first-appearance-ordered rule table; results reference
   // it by index so viewers can group findings per rule.
@@ -288,7 +138,7 @@ std::string render_sarif(const std::vector<Diagnostic>& diags,
   for (std::size_t i = 0; i < rule_ids.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "            {\"id\": ";
-    append_escaped(out, rule_ids[i]);
+    append_json_string(out, rule_ids[i]);
     out += "}";
   }
   if (!rule_ids.empty()) out += "\n          ";
@@ -304,15 +154,15 @@ std::string render_sarif(const std::vector<Diagnostic>& diags,
         rule_ids.begin());
     out += i == 0 ? "\n" : ",\n";
     out += "        {\"ruleId\": ";
-    append_escaped(out, d.rule);
+    append_json_string(out, d.rule);
     out += ", \"ruleIndex\": " + std::to_string(rule_index);
     out += ", \"level\": \"";
     out += sarif_level(d.severity);
     out += "\", \"message\": {\"text\": ";
-    append_escaped(out, d.message);
+    append_json_string(out, d.message);
     out += "}, \"locations\": [{\"physicalLocation\": "
            "{\"artifactLocation\": {\"uri\": ";
-    append_escaped(out, d.loc.file.empty() ? "<memory>" : d.loc.file);
+    append_json_string(out, d.loc.file.empty() ? "<memory>" : d.loc.file);
     out += "}";
     if (d.loc.line > 0)
       out += ", \"region\": {\"startLine\": " + std::to_string(d.loc.line) +
@@ -320,13 +170,13 @@ std::string render_sarif(const std::vector<Diagnostic>& diags,
     out += "}";
     if (!d.loc.object.empty()) {
       out += ", \"logicalLocations\": [{\"fullyQualifiedName\": ";
-      append_escaped(out, d.loc.object);
+      append_json_string(out, d.loc.object);
       out += "}]";
     }
     out += "}]";
     if (!d.fix_hint.empty()) {
       out += ", \"properties\": {\"fixHint\": ";
-      append_escaped(out, d.fix_hint);
+      append_json_string(out, d.fix_hint);
       out += "}";
     }
     out += "}";
@@ -338,48 +188,6 @@ std::string render_sarif(const std::vector<Diagnostic>& diags,
       "  ]\n"
       "}\n";
   return out;
-}
-
-std::vector<Diagnostic> parse_json(const std::string& text) {
-  JsonReader r(text);
-  std::vector<Diagnostic> diags;
-  r.expect('{');
-  if (r.consume('}')) return diags;
-  do {
-    const std::string key = r.string();
-    r.expect(':');
-    if (key != "diagnostics") {
-      r.skip_value();
-      continue;
-    }
-    r.expect('[');
-    if (r.consume(']')) continue;
-    do {
-      Diagnostic d;
-      r.expect('{');
-      if (!r.consume('}')) {
-        do {
-          const std::string field = r.string();
-          r.expect(':');
-          if (field == "rule") d.rule = r.string();
-          else if (field == "severity")
-            d.severity = severity_from_string(r.string());
-          else if (field == "file") d.loc.file = r.string();
-          else if (field == "line")
-            d.loc.line = static_cast<int>(r.integer());
-          else if (field == "object") d.loc.object = r.string();
-          else if (field == "message") d.message = r.string();
-          else if (field == "fix_hint") d.fix_hint = r.string();
-          else r.skip_value();
-        } while (r.consume(','));
-        r.expect('}');
-      }
-      diags.push_back(std::move(d));
-    } while (r.consume(','));
-    r.expect(']');
-  } while (r.consume(','));
-  r.expect('}');
-  return diags;
 }
 
 }  // namespace presp::lint

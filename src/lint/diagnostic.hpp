@@ -22,7 +22,6 @@ namespace presp::lint {
 enum class Severity : std::uint8_t { kError, kWarning, kInfo };
 
 const char* to_string(Severity severity);
-Severity severity_from_string(const std::string& text);
 
 /// Location of a finding inside a source artifact. `file` is the config
 /// or artifact path ("<memory>" for in-memory checks), `line` the
@@ -82,11 +81,6 @@ std::string render_text(const std::vector<Diagnostic>& diags);
 /// JSON report: {"diagnostics":[...], "errors":N, "warnings":N,
 /// "infos":N}. Stable field order; strings are escaped.
 std::string render_json(const std::vector<Diagnostic>& diags);
-
-/// Parses render_json() output back into diagnostics (round-trip is
-/// asserted in tests; tools consume the JSON downstream). Throws
-/// presp::ConfigError on malformed input.
-std::vector<Diagnostic> parse_json(const std::string& text);
 
 /// SARIF 2.1.0 report (one run, driver `tool_name`) for CI annotation
 /// uploads. Severities map error -> "error", warning -> "warning",

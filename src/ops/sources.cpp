@@ -1,51 +1,11 @@
 #include "ops/sources.hpp"
 
-#include <cstdio>
-
 #include "fleet/breaker.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
+#include "util/json.hpp"
 
 namespace presp::ops {
-
-namespace {
-
-void append_double(std::string& out, double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v < 1e15 && v > -1e15) {
-    out += std::to_string(static_cast<long long>(v));
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
-
-/// Minimal JSON string escape (quotes, backslashes, control chars) —
-/// span/module names are code-chosen but may contain spaces or '->'.
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 std::string fleet_health_json(const fleet::FleetOpsSnapshot& snap) {
   std::string out = "{\"now\":" + std::to_string(snap.now);
@@ -108,7 +68,7 @@ std::string fleet_health_json(const fleet::FleetOpsSnapshot& snap) {
     if (!first) out += ',';
     first = false;
     out += '"' + std::to_string(tenant) + "\":";
-    append_double(out, tokens);
+    append_json_number(out, tokens);
   }
   out += "}}";
   return out;
@@ -145,9 +105,9 @@ std::string trace_summary_json(std::size_t top_n) {
   out += ",\"counters\":" + std::to_string(summary.counters);
   out += ",\"dropped\":" + std::to_string(summary.dropped);
   out += ",\"host_extent_us\":";
-  append_double(out, summary.host_extent_us);
+  append_json_number(out, summary.host_extent_us);
   out += ",\"sim_extent_us\":";
-  append_double(out, summary.sim_extent_us);
+  append_json_number(out, summary.sim_extent_us);
   out += ",\"categories\":{";
   for (std::size_t i = 0; i < summary.categories.size(); ++i) {
     if (i > 0) out += ',';
@@ -164,9 +124,9 @@ std::string trace_summary_json(std::size_t top_n) {
     append_json_string(out, span.cat);
     out += ",\"count\":" + std::to_string(span.count);
     out += ",\"total_us\":";
-    append_double(out, span.total_us);
+    append_json_number(out, span.total_us);
     out += ",\"self_us\":";
-    append_double(out, span.self_us);
+    append_json_number(out, span.self_us);
     out += "}";
   }
   out += "]}";
@@ -181,15 +141,17 @@ std::string metrics_delta_json(const trace::MetricsSnapshot& prev,
     const std::uint64_t before = it == prev.counters.end() ? 0 : it->second;
     if (value == before) continue;
     if (!counters.empty()) counters += ',';
-    counters += '"' + name + "\":" + std::to_string(value - before);
+    append_json_string(counters, name);
+    counters += ':' + std::to_string(value - before);
   }
   std::string gauges;
   for (const auto& [name, sample] : cur.gauges) {
     const auto it = prev.gauges.find(name);
     if (it != prev.gauges.end() && it->second.value == sample.value) continue;
     if (!gauges.empty()) gauges += ',';
-    gauges += '"' + name + "\":";
-    append_double(gauges, sample.value);
+    append_json_string(gauges, name);
+    gauges += ':';
+    append_json_number(gauges, sample.value);
   }
   if (counters.empty() && gauges.empty()) return "{}";
   return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges + "}}";

@@ -10,6 +10,7 @@
 #include "ops/server.hpp"
 #include "ops/watch.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace presp::ops {
 
@@ -37,23 +38,10 @@ bool parse_int(const std::string& text, int* out) {
   }
 }
 
-void json_escape_into(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
 std::string report_json(const LintWatcher::Report& report) {
-  std::string out = "{\"path\":\"";
-  json_escape_into(out, report.path);
-  out += "\",\"errors\":" + std::to_string(report.errors);
+  std::string out = "{\"path\":";
+  append_json_string(out, report.path);
+  out += ",\"errors\":" + std::to_string(report.errors);
   out += ",\"warnings\":" + std::to_string(report.warnings);
   out += ",\"findings\":" + report.findings_json + "}";
   return out;

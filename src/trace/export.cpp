@@ -1,52 +1,21 @@
 #include "trace/export.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace presp::trace {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_us(std::string& out, double us) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", us);
-  out += buf;
-}
-
-void append_value(std::string& out, double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v < 1e15 && v > -1e15) {
-    out += std::to_string(static_cast<long long>(v));
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
   out += buf;
 }
 
@@ -58,9 +27,9 @@ void append_metadata(std::string& out, const char* kind, int pid, int tid,
   out += std::to_string(tid);
   out += ",\"name\":\"";
   out += kind;
-  out += R"(","args":{"name":")";
-  append_escaped(out, name);
-  out += "\"}}";
+  out += R"(","args":{"name":)";
+  append_json_string(out, name);
+  out += "}}";
 }
 
 }  // namespace
@@ -104,15 +73,15 @@ std::string chrome_trace_json(const TraceReport& report) {
     out += ",\"ts\":";
     append_us(out, sim ? static_cast<double>(event.timestamp) / mhz
                        : static_cast<double>(event.timestamp) / 1000.0);
-    out += ",\"name\":\"";
-    append_escaped(out, event.name);
-    out += "\",\"cat\":\"";
+    out += ",\"name\":";
+    append_json_string(out, event.name);
+    out += ",\"cat\":\"";
     out += to_string(event.category);
     out += '"';
     if (event.phase == Phase::kInstant) out += ",\"s\":\"t\"";
     if (event.phase == Phase::kCounter || event.value != 0.0) {
       out += ",\"args\":{\"value\":";
-      append_value(out, event.value);
+      append_json_number(out, event.value);
       out += '}';
     }
     out += '}';
@@ -121,7 +90,7 @@ std::string chrome_trace_json(const TraceReport& report) {
   out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":";
   out += std::to_string(report.dropped);
   out += ",\"simClockMhz\":";
-  append_value(out, report.config.sim_clock_mhz);
+  append_json_number(out, report.config.sim_clock_mhz);
   out += "}}\n";
   return out;
 }
@@ -138,164 +107,44 @@ void write_chrome_trace(const TraceReport& report, const std::string& path) {
 
 namespace {
 
-/// Minimal cursor-based JSON reader for the subset the writer emits,
-/// with generic skipping so unknown fields stay forward-compatible.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) {
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            // The writer only emits \u00XX for control bytes; decode the
-            // low byte and ignore the high pair.
-            const char* hex = text_.data() + pos_;
-            unsigned code = 0;
-            if (pos_ + 4 > text_.size() ||
-                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
-              fail("bad \\u escape");
-            c = static_cast<char>(code & 0xff);
-            pos_ += 4;
-            break;
-          }
-          default: c = esc;
-        }
-      }
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) fail("expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  void skip_value() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '"') {
-      string();
-    } else if (c == '{') {
-      ++pos_;
-      if (!consume('}')) {
-        do {
-          string();
-          expect(':');
-          skip_value();
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos_;
-      if (!consume(']')) {
-        do {
-          skip_value();
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-    } else if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-    } else {
-      number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw ConfigError("trace JSON parse error at offset " +
-                      std::to_string(pos_) + ": " + what);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+int read_int(JsonReader& reader) {
+  return static_cast<int>(reader.integer(std::numeric_limits<int>::min(),
+                                         std::numeric_limits<int>::max()));
+}
 
 void parse_event(JsonReader& reader, ParsedTrace& out) {
   ParsedEvent event;
   std::string arg_name;
-  reader.expect('{');
-  if (!reader.consume('}')) {
-    do {
-      const std::string key = reader.string();
-      reader.expect(':');
-      if (key == "name") {
-        event.name = reader.string();
-      } else if (key == "cat") {
-        event.cat = reader.string();
-      } else if (key == "ph") {
-        event.ph = reader.string();
-      } else if (key == "ts") {
-        event.ts_us = reader.number();
-      } else if (key == "pid") {
-        event.pid = static_cast<int>(reader.number());
-      } else if (key == "tid") {
-        event.tid = static_cast<int>(reader.number());
-      } else if (key == "args") {
-        reader.expect('{');
-        if (!reader.consume('}')) {
-          do {
-            const std::string arg_key = reader.string();
-            reader.expect(':');
-            if (arg_key == "name") {
-              arg_name = reader.string();
-            } else if (arg_key == "value") {
-              event.value = reader.number();
-            } else {
-              reader.skip_value();
-            }
-          } while (reader.consume(','));
-          reader.expect('}');
+  reader.members([&](const std::string& key) {
+    if (key == "name") {
+      event.name = reader.string();
+    } else if (key == "cat") {
+      event.cat = reader.string();
+    } else if (key == "ph") {
+      event.ph = reader.string();
+    } else if (key == "ts") {
+      event.ts_us = reader.number();
+    } else if (key == "pid") {
+      event.pid = read_int(reader);
+    } else if (key == "tid") {
+      event.tid = read_int(reader);
+    } else if (key == "args") {
+      reader.members([&](const std::string& arg_key) {
+        if (arg_key == "name") {
+          arg_name = reader.string();
+        } else if (arg_key == "value") {
+          // The writer spells a non-finite counter value as null.
+          event.value = reader.consume_null()
+                            ? std::numeric_limits<double>::quiet_NaN()
+                            : reader.number();
+        } else {
+          reader.skip_value();
         }
-      } else {
-        reader.skip_value();
-      }
-    } while (reader.consume(','));
-    reader.expect('}');
-  }
+      });
+    } else {
+      reader.skip_value();
+    }
+  });
   if (event.ph == "M") {
     if (event.name == "process_name") {
       out.process_names[event.pid] = arg_name;
@@ -310,43 +159,27 @@ void parse_event(JsonReader& reader, ParsedTrace& out) {
 }  // namespace
 
 ParsedTrace parse_chrome_trace(const std::string& text) {
-  JsonReader reader(text);
+  JsonReader reader(text, "trace json");
   ParsedTrace out;
-  reader.expect('{');
-  if (!reader.consume('}')) {
-    do {
-      const std::string key = reader.string();
-      reader.expect(':');
-      if (key == "traceEvents") {
-        reader.expect('[');
-        if (!reader.consume(']')) {
-          do {
-            parse_event(reader, out);
-          } while (reader.consume(','));
-          reader.expect(']');
+  reader.members([&](const std::string& key) {
+    if (key == "traceEvents") {
+      reader.elements([&] { parse_event(reader, out); });
+    } else if (key == "otherData") {
+      reader.members([&](const std::string& other_key) {
+        if (other_key == "droppedEvents") {
+          out.dropped = static_cast<std::uint64_t>(reader.integer(
+              0, std::numeric_limits<std::int64_t>::max()));
+        } else if (other_key == "simClockMhz") {
+          out.sim_clock_mhz = reader.number();
+        } else {
+          reader.skip_value();
         }
-      } else if (key == "otherData") {
-        reader.expect('{');
-        if (!reader.consume('}')) {
-          do {
-            const std::string other_key = reader.string();
-            reader.expect(':');
-            if (other_key == "droppedEvents") {
-              out.dropped = static_cast<std::uint64_t>(reader.number());
-            } else if (other_key == "simClockMhz") {
-              out.sim_clock_mhz = reader.number();
-            } else {
-              reader.skip_value();
-            }
-          } while (reader.consume(','));
-          reader.expect('}');
-        }
-      } else {
-        reader.skip_value();
-      }
-    } while (reader.consume(','));
-    reader.expect('}');
-  }
+      });
+    } else {
+      reader.skip_value();
+    }
+  });
+  reader.finish();
   return out;
 }
 

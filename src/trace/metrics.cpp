@@ -1,7 +1,8 @@
 #include "trace/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
+
+#include "util/json.hpp"
 
 namespace presp::trace {
 
@@ -11,19 +12,6 @@ int bucket_for(double v) {
   if (!(v >= 1.0)) return 0;  // v < 1, NaN
   const int exponent = std::ilogb(v) + 1;
   return exponent >= Histogram::kBuckets ? Histogram::kBuckets - 1 : exponent;
-}
-
-void append_number(std::string& out, double v) {
-  // Integral values render without a fraction so counter-like snapshots
-  // stay byte-stable across platforms.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 1e15) {
-    out += std::to_string(static_cast<long long>(v));
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -108,9 +96,8 @@ std::string MetricsRegistry::snapshot_json() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += name;  // metric names are code-chosen identifiers, no escaping
-    out += "\":";
+    append_json_string(out, name);
+    out += ':';
     out += std::to_string(counter->value());
   }
   out += "},\"gauges\":{";
@@ -118,12 +105,11 @@ std::string MetricsRegistry::snapshot_json() const {
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += name;
-    out += "\":{\"value\":";
-    append_number(out, gauge->value());
+    append_json_string(out, name);
+    out += ":{\"value\":";
+    append_json_number(out, gauge->value());
     out += ",\"max\":";
-    append_number(out, gauge->max_seen());
+    append_json_number(out, gauge->max_seen());
     out += '}';
   }
   out += "},\"histograms\":{";
@@ -131,16 +117,15 @@ std::string MetricsRegistry::snapshot_json() const {
   for (const auto& [name, histogram] : histograms_) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += name;
-    out += "\":{\"count\":";
+    append_json_string(out, name);
+    out += ":{\"count\":";
     out += std::to_string(histogram->count());
     out += ",\"sum\":";
-    append_number(out, histogram->sum());
+    append_json_number(out, histogram->sum());
     out += ",\"p50\":";
-    append_number(out, histogram->quantile_upper_bound(0.50));
+    append_json_number(out, histogram->quantile_upper_bound(0.50));
     out += ",\"p95\":";
-    append_number(out, histogram->quantile_upper_bound(0.95));
+    append_json_number(out, histogram->quantile_upper_bound(0.95));
     out += '}';
   }
   out += "}}";
@@ -175,6 +160,14 @@ std::string prometheus_name(const std::string& name) {
   return out;
 }
 
+/// A sample value in the exposition format, which spells the non-finite
+/// values NaN, +Inf and -Inf (JSON's `null` is not a sample value).
+void append_prometheus_value(std::string& out, double v) {
+  if (std::isnan(v)) out += "NaN";
+  else if (std::isinf(v)) out += v > 0 ? "+Inf" : "-Inf";
+  else append_json_number(out, v);
+}
+
 }  // namespace
 
 std::string MetricsRegistry::prometheus_text() const {
@@ -189,21 +182,21 @@ std::string MetricsRegistry::prometheus_text() const {
     const std::string prom = prometheus_name(name);
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " ";
-    append_number(out, sample.value);
+    append_prometheus_value(out, sample.value);
     out += "\n# TYPE " + prom + "_max gauge\n";
     out += prom + "_max ";
-    append_number(out, sample.max);
+    append_prometheus_value(out, sample.max);
     out += "\n";
   }
   for (const auto& [name, sample] : snap.histograms) {
     const std::string prom = prometheus_name(name);
     out += "# TYPE " + prom + " summary\n";
     out += prom + "{quantile=\"0.5\"} ";
-    append_number(out, sample.p50);
+    append_prometheus_value(out, sample.p50);
     out += "\n" + prom + "{quantile=\"0.95\"} ";
-    append_number(out, sample.p95);
+    append_prometheus_value(out, sample.p95);
     out += "\n" + prom + "_sum ";
-    append_number(out, sample.sum);
+    append_prometheus_value(out, sample.sum);
     out += "\n" + prom + "_count " + std::to_string(sample.count) + "\n";
   }
   return out;

@@ -1,19 +1,27 @@
 // Tests for the cross-layer tracing subsystem: ring-buffer overflow and
 // drop accounting, deterministic sim-domain event streams at any exec
-// width, the Chrome-trace JSON golden shape plus round-trip parsing, the
-// summarizer, metrics, and concurrent host-side emitters (this test also
-// runs under TSan in tier-1).
+// width, the Chrome-trace JSON golden shape plus round-trip parsing, a
+// seeded malformed-input sweep over the Chrome-trace and floorplan JSON
+// parsers, the summarizer, metrics, and concurrent host-side emitters
+// (this test also runs under TSan in tier-1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "fabric/device.hpp"
+#include "floorplan/floorplan_io.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "wami/app.hpp"
 
 namespace presp {
@@ -223,6 +231,16 @@ TEST(ChromeTraceTest, RoundTripThroughParser) {
       trace::parse_chrome_trace(with_name("a\\u000ab"));
   ASSERT_EQ(escaped.events.size(), 1u);
   EXPECT_EQ(escaped.events[0].name, "a\nb");
+  // pid/tid reject what an int cannot hold, and nothing may follow the
+  // document.
+  EXPECT_THROW(trace::parse_chrome_trace(
+                   R"({"traceEvents":[{"ph":"i","pid":1e300,"tid":1}]})"),
+               ConfigError);
+  EXPECT_THROW(trace::parse_chrome_trace(
+                   R"({"traceEvents":[{"ph":"i","pid":1,"tid":1e300}]})"),
+               ConfigError);
+  EXPECT_THROW(trace::parse_chrome_trace(R"({"traceEvents":[]} trailing)"),
+               ConfigError);
 }
 
 TEST(ChromeTraceTest, SummaryComputesSelfTimeAndExtents) {
@@ -243,6 +261,72 @@ TEST(ChromeTraceTest, SummaryComputesSelfTimeAndExtents) {
   EXPECT_DOUBLE_EQ(summary.top_spans[1].total_us, 4.0);
   const std::string rendered = trace::render_summary(summary);
   EXPECT_NE(rendered.find("dropped events: 0"), std::string::npos);
+}
+
+// --------------------------------------------------- malformed input
+
+/// The floorplan artifact lint_test's FloorplanArtifactTest suite uses.
+floorplan::FloorplanArtifact planned_artifact() {
+  const auto device = fabric::Device::vc707();
+  const floorplan::Floorplanner planner(device);
+  floorplan::FloorplanArtifact artifact;
+  artifact.design = "unit";
+  artifact.device = "vc707";
+  artifact.requests = {{"RT_1", {20'000, 20'000, 16, 32}},
+                       {"RT_2", {15'000, 15'000, 8, 16}}};
+  artifact.plan =
+      planner.plan(artifact.requests, {40'000, 40'000, 64, 64}, {});
+  return artifact;
+}
+
+// Both JSON artifact parsers, fed their own writer's output with one
+// seeded byte flip, truncation or insertion, must return or throw
+// ConfigError: no other exception, and (under ASan+UBSan) no crash.
+TEST(JsonMutationTest, ParsersReturnOrThrowConfigError) {
+  constexpr std::uint64_t kSeed = 0x6a736f6e;
+  constexpr int kMutationsPerDocument = 1000;
+  // Half the written bytes come from the grammar's own characters, so
+  // mutations reach past the first token.
+  constexpr std::string_view kGrammar = "\"\\{}[],:-.eE0123456789 tfnu";
+  const std::vector<std::pair<std::string,
+                              std::function<void(const std::string&)>>>
+      documents = {
+          {floorplan::render_floorplan_json(planned_artifact()),
+           [](const std::string& text) {
+             floorplan::parse_floorplan_json(text);
+           }},
+          {trace::chrome_trace_json(golden_report()),
+           [](const std::string& text) { trace::parse_chrome_trace(text); }},
+      };
+  Rng rng(kSeed);
+  int index = 0;
+  int accepted = 0;
+  int rejected = 0;
+  for (const auto& [text, parse] : documents) {
+    for (int i = 0; i < kMutationsPerDocument; ++i, ++index) {
+      std::string mutated = text;
+      const std::size_t pos = rng.next_below(mutated.size());
+      const char byte =
+          rng.next_bool() ? kGrammar[rng.next_below(kGrammar.size())]
+                          : static_cast<char>(rng.next_below(256));
+      switch (rng.next_below(3)) {
+        case 0: mutated[pos] = byte; break;
+        case 1: mutated.resize(pos); break;
+        default: mutated.insert(pos, 1, byte); break;
+      }
+      try {
+        parse(mutated);
+        ++accepted;
+      } catch (const ConfigError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "seed " << kSeed << " mutation " << index
+                      << " threw a non-ConfigError: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ------------------------------------------------------ determinism
@@ -311,10 +395,20 @@ TEST(MetricsTest, CountersGaugesHistograms) {
   EXPECT_DOUBLE_EQ(h.sum(), 108.5);
   EXPECT_GE(h.quantile_upper_bound(0.95), 100.0);
 
+  // Out of long long's range, and not a number: JSON has no spelling for
+  // NaN, the exposition format does.
+  registry.gauge("huge").set(1e300);
+  registry.gauge("nan").set(std::nan(""));
+
   const std::string json = registry.snapshot_json();
   EXPECT_NE(json.find("\"reqs\":5"), std::string::npos);
   EXPECT_NE(json.find("\"depth\""), std::string::npos);
   EXPECT_NE(json.find("\"latency\""), std::string::npos);
+  EXPECT_NE(json.find("\"huge\":{\"value\":1e+300,"), std::string::npos);
+  EXPECT_NE(json.find("\"nan\":{\"value\":null,"), std::string::npos);
+  const std::string prom = registry.prometheus_text();
+  EXPECT_NE(prom.find("\npresp_huge 1e+300\n"), std::string::npos);
+  EXPECT_NE(prom.find("\npresp_nan NaN\n"), std::string::npos);
 
   registry.reset();
   EXPECT_EQ(registry.counter("reqs").value(), 0u);

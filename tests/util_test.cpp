@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "util/config.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
@@ -213,6 +215,72 @@ TEST(ConfigTest, RoundTripThroughToString) {
 TEST(ConfigTest, KeysPreserveOrder) {
   const auto cfg = Config::parse("[s]\nz = 1\na = 2\nm = 3\n");
   EXPECT_EQ(cfg.keys("s"), (std::vector<std::string>{"z", "a", "m"}));
+}
+
+// --------------------------------------------------------------- JSON
+
+TEST(JsonTest, WriterEscapesStringsAndFormatsNumbers) {
+  std::string out;
+  append_json_string(out, "q\"b\\n\nt\tr\r\x01\x1f" "\xc3\xa9");
+  EXPECT_EQ(out, R"("q\"b\\n\nt\tr\r\u0001\u001f)" "\xc3\xa9\"");
+  const auto number = [](double v) {
+    std::string text;
+    append_json_number(text, v);
+    return text;
+  };
+  EXPECT_EQ(number(42.0), "42");
+  EXPECT_EQ(number(-0.0), "0");
+  EXPECT_EQ(number(0.25), "0.25");
+  EXPECT_EQ(number(1e15), "1e+15");
+  EXPECT_EQ(number(-1e300), "-1e+300");
+  EXPECT_EQ(number(std::nan("")), "null");
+  EXPECT_EQ(number(-HUGE_VAL), "null");
+}
+
+TEST(JsonTest, ReaderDecodesEscapesAndRejectsMalformedInput) {
+  JsonReader escapes(R"("\"\\\/\b\f\n\r\t\u0041\u00e9\ud83d\ude00")", "t");
+  EXPECT_EQ(escapes.string(),
+            "\"\\/\b\f\n\r\tA\xc3\xa9\xf0\x9f\x98\x80");
+  escapes.finish();
+
+  JsonReader walk(R"( {"a": [1, -2.5e1, true, null, {"x": "y"}], "b": 7} )",
+                  "t");
+  std::int64_t b = 0;
+  walk.members([&](const std::string& key) {
+    if (key == "b") b = walk.integer(0, 7);
+    else walk.skip_value();
+  });
+  walk.finish();
+  EXPECT_EQ(b, 7);
+
+  const auto rejects = [](const std::string& text, auto&& read) {
+    JsonReader reader(text, "ctx");
+    try {
+      read(reader);
+      reader.finish();
+    } catch (const ConfigError& e) {
+      return std::string(e.what()).rfind("ctx: ", 0) == 0;
+    }
+    return false;
+  };
+  const auto integer = [](JsonReader& r) { r.integer(0, 10); };
+  EXPECT_TRUE(rejects("11", integer));
+  EXPECT_TRUE(rejects("1.5", integer));
+  EXPECT_TRUE(rejects("1e300", integer));
+  EXPECT_TRUE(rejects("99999999999999999999", integer));
+  const auto number = [](JsonReader& r) { r.number(); };
+  EXPECT_TRUE(rejects("nan", number));
+  EXPECT_TRUE(rejects("1e999", number));
+  EXPECT_TRUE(rejects("1 2", number));
+  const auto string = [](JsonReader& r) { r.string(); };
+  EXPECT_TRUE(rejects(R"("a)", string));
+  EXPECT_TRUE(rejects("\"a\nb\"", string));
+  EXPECT_TRUE(rejects(R"("\x")", string));
+  EXPECT_TRUE(rejects(R"("\ud83d")", string));
+  const auto skip = [](JsonReader& r) { r.skip_value(); };
+  EXPECT_TRUE(rejects("{\"a\" 1}", skip));
+  EXPECT_TRUE(rejects("[1,]", skip));
+  EXPECT_TRUE(rejects(std::string(1000, '['), skip));
 }
 
 }  // namespace
