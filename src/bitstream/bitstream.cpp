@@ -10,27 +10,44 @@ namespace presp::bitstream {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is the
+/// classic byte table, and tables[k][i] is the CRC of byte i followed by k
+/// zero bytes, so eight table lookups advance the CRC by eight bytes.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(const std::vector<std::uint32_t>& words) {
-  static const auto table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint32_t w : words) {
-    for (int byte = 0; byte < 4; ++byte) {
-      const std::uint8_t b = static_cast<std::uint8_t>(w >> (8 * byte));
-      crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8);
-    }
+  std::size_t i = 0;
+  for (; i + 1 < words.size(); i += 2) {
+    const std::uint32_t lo = words[i] ^ crc;
+    const std::uint32_t hi = words[i + 1];
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  if (i < words.size()) {
+    const std::uint32_t w = words[i];
+    for (int byte = 0; byte < 4; ++byte)
+      crc = t[0][(crc ^ (w >> (8 * byte))) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -154,14 +171,28 @@ std::vector<std::uint32_t> BitstreamGenerator::frame_words(
   return words;
 }
 
+fabric::Pblock BitstreamGenerator::whole_device() const {
+  return fabric::Pblock{0, device_.num_columns() - 1, 0,
+                        device_.region_rows() - 1};
+}
+
+std::size_t BitstreamGenerator::full_raw_bytes() const {
+  // The word count frame_words reserves (and fills) for the whole device.
+  const auto words_per_frame =
+      static_cast<std::size_t>(device_.frames().frame_bytes / 4);
+  return static_cast<std::size_t>(
+             fabric::pblock_frames(device_, whole_device())) *
+             words_per_frame * 4 +
+         Bitstream::kHeaderBytes;
+}
+
 Bitstream BitstreamGenerator::full(const std::string& design,
                                    const netlist::Netlist& nl,
                                    const pnr::Placement& placement) const {
   Bitstream bs;
   bs.design = design;
   bs.partial = false;
-  bs.pblock = fabric::Pblock{0, device_.num_columns() - 1, 0,
-                             device_.region_rows() - 1};
+  bs.pblock = whole_device();
   bs.words = frame_words(bs.pblock, nl, &placement);
   bs.crc = crc32(bs.words);
   return bs;

@@ -23,8 +23,11 @@
 
 namespace presp::bitstream {
 
-/// CRC-32 (IEEE 802.3, reflected) over a word stream; the configuration
-/// engine verifies it before activating a partial bitstream.
+/// CRC-32 (IEEE 802.3, reflected) over a word stream, each word fed low
+/// byte first; the configuration engine verifies it before activating a
+/// partial bitstream. Slicing-by-8 (two words per step, bytewise for an
+/// odd last word); bytes are taken from each word by shifts, so the value
+/// is the same on any host endianness.
 std::uint32_t crc32(const std::vector<std::uint32_t>& words);
 
 /// Zero-run RLE: literal non-zero words pass through; a zero word is
@@ -65,6 +68,10 @@ class BitstreamGenerator {
   Bitstream full(const std::string& design, const netlist::Netlist& nl,
                  const pnr::Placement& placement) const;
 
+  /// `full(...).raw_bytes()` in closed form: the size depends only on the
+  /// device's frame count, never on the netlist or placement.
+  std::size_t full_raw_bytes() const;
+
   /// Partial bitstream: the frames of `pblock`, with content derived from
   /// the partition run's placement.
   Bitstream partial(const std::string& design, const std::string& module,
@@ -77,6 +84,7 @@ class BitstreamGenerator {
                   const fabric::Pblock& pblock) const;
 
  private:
+  fabric::Pblock whole_device() const;
   std::vector<std::uint32_t> frame_words(
       const fabric::Pblock& region, const netlist::Netlist& nl,
       const pnr::Placement* placement) const;

@@ -110,6 +110,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
         .add(options_.synth.rent_edges_per_cell)
         .add(static_cast<long long>(options_.synth.seed));
     static_synth_key = kb.finish();
+    const trace::TraceScope span(trace::Category::kFlow, "flow:cache-load");
     static_meta = cache->load_static_meta(static_synth_key);
   }
 
@@ -150,8 +151,10 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
     result.exec.synth_wall_seconds = synth_graph.makespan_seconds();
     result.exec.busy_seconds += synth_graph.busy_seconds();
   }
-  if (cache && have_static_ckpt && !static_meta)
+  if (cache && have_static_ckpt && !static_meta) {
+    const trace::TraceScope span(trace::Category::kFlow, "flow:cache-store");
     cache->store_static_meta(static_synth_key, {static_ckpt.utilization});
+  }
   const fabric::ResourceVec static_util =
       have_static_ckpt ? static_ckpt.utilization : static_meta->utilization;
 
@@ -246,44 +249,48 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
   std::vector<std::uint64_t> module_keys(jobs.size(), 0);
   std::vector<std::optional<ModuleEntry>> module_hits(jobs.size());
   if (cache && options_.run_physical) {
-    FlowCache::KeyBuilder kb;
-    kb.add("static-pnr").add(static_cast<long long>(static_synth_key));
-    for (std::size_t p = 0; p < requests.size(); ++p) {
-      kb.add(requests[p].name);
-      add_pblock(kb, result.plan.pblocks[p]);
-    }
-    kb.add(static_cast<long long>(options_.pnr.placer.moves_per_cell))
-        .add(static_cast<long long>(options_.pnr.placer.temperature_steps))
-        .add(options_.pnr.placer.initial_temperature_factor)
-        .add(options_.pnr.placer.cooling)
-        .add(static_cast<long long>(options_.pnr.placer.seed))
-        .add(static_cast<long long>(options_.pnr.router.max_iterations))
-        .add(options_.pnr.router.congestion_penalty)
-        .add(options_.pnr.router.history_increment)
-        .add(static_cast<long long>(options_.pnr.h_capacity))
-        .add(static_cast<long long>(options_.pnr.v_capacity));
-    static_pnr_key = kb.finish();
-    static_pnr_hit = cache->load_static_pnr(static_pnr_key);
-    // Belt and braces: a cached routing state must match this device's
-    // grid exactly or the entry is unusable.
-    if (static_pnr_hit &&
-        (static_pnr_hit->usage.size() != static_state.num_edges() ||
-         static_pnr_hit->cols != static_state.num_cols() ||
-         static_pnr_hit->rows != static_state.num_rows()))
-      static_pnr_hit.reset();
+    {
+      const trace::TraceScope span(trace::Category::kFlow,
+                                   "flow:cache-load");
+      FlowCache::KeyBuilder kb;
+      kb.add("static-pnr").add(static_cast<long long>(static_synth_key));
+      for (std::size_t p = 0; p < requests.size(); ++p) {
+        kb.add(requests[p].name);
+        add_pblock(kb, result.plan.pblocks[p]);
+      }
+      kb.add(static_cast<long long>(options_.pnr.placer.moves_per_cell))
+          .add(static_cast<long long>(options_.pnr.placer.temperature_steps))
+          .add(options_.pnr.placer.initial_temperature_factor)
+          .add(options_.pnr.placer.cooling)
+          .add(static_cast<long long>(options_.pnr.placer.seed))
+          .add(static_cast<long long>(options_.pnr.router.max_iterations))
+          .add(options_.pnr.router.congestion_penalty)
+          .add(options_.pnr.router.history_increment)
+          .add(static_cast<long long>(options_.pnr.h_capacity))
+          .add(static_cast<long long>(options_.pnr.v_capacity));
+      static_pnr_key = kb.finish();
+      static_pnr_hit = cache->load_static_pnr(static_pnr_key);
+      // Belt and braces: a cached routing state must match this device's
+      // grid exactly or the entry is unusable.
+      if (static_pnr_hit &&
+          (static_pnr_hit->usage.size() != static_state.num_edges() ||
+           static_pnr_hit->cols != static_state.num_cols() ||
+           static_pnr_hit->rows != static_state.num_rows()))
+        static_pnr_hit.reset();
 
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      FlowCache::KeyBuilder mk;
-      mk.add("module").add(static_cast<long long>(static_pnr_key));
-      mk.add(jobs[j].module);
-      add_resources(
-          mk, netlist::SocRtl::module_resources(lib_, jobs[j].module));
-      add_pblock(mk, result.plan.pblocks[static_cast<std::size_t>(
-                         jobs[j].partition_index)]);
-      mk.add(to_string(result.decision.strategy))
-          .add(static_cast<long long>(result.decision.tau));
-      module_keys[j] = mk.finish();
-      module_hits[j] = cache->load_module(module_keys[j]);
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        FlowCache::KeyBuilder mk;
+        mk.add("module").add(static_cast<long long>(static_pnr_key));
+        mk.add(jobs[j].module);
+        add_resources(
+            mk, netlist::SocRtl::module_resources(lib_, jobs[j].module));
+        add_pblock(mk, result.plan.pblocks[static_cast<std::size_t>(
+                           jobs[j].partition_index)]);
+        mk.add(to_string(result.decision.strategy))
+            .add(static_cast<long long>(result.decision.tau));
+        module_keys[j] = mk.finish();
+        module_hits[j] = cache->load_module(module_keys[j]);
+      }
     }
 
     // Second synthesis wave: only what the misses actually need.
@@ -383,11 +390,9 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
                 engine.run_static(static_ckpt, result.pblocks, static_state);
             run_ok[kStaticSlot] = run.success() ? 1 : 0;
             run_fmax[kStaticSlot] = run.route.achieved_fmax_mhz;
-            result.full_bitstream_bytes =
-                bitgen
-                    .full(config.name, static_ckpt.netlist,
-                          run.place.placement)
-                    .raw_bytes();
+            // Only the full image's size is reported, and that is a
+            // closed form: the image itself is never built here.
+            result.full_bitstream_bytes = bitgen.full_raw_bytes();
           },
           {}, std::numeric_limits<int>::max());
 
@@ -413,7 +418,9 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
               impl.routed = run.success();
               run_ok[j] = impl.routed ? 1 : 0;
               run_fmax[j] = run.route.achieved_fmax_mhz;
-              const bitstream::Bitstream pbs =
+              const trace::TraceScope bitgen_span(trace::Category::kFlow,
+                                                  "bitgen:partial");
+              bitstream::Bitstream pbs =
                   bitgen.partial(config.name, jobs[j].module, pblock,
                                  ooc.netlist, run.place.placement);
               impl.pbs_raw_bytes = pbs.raw_bytes();
@@ -424,7 +431,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
                              bitstream::pbs_filename(
                                  config.name, impl.partition,
                                  jobs[j].module));
-              if (cache) fresh_pbs[j] = pbs;
+              if (cache) fresh_pbs[j] = std::move(pbs);
             },
             std::move(deps), lut_priority(group_luts));
       }
@@ -436,6 +443,8 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
 
     // Persist fresh stage results (driver thread, after the graph).
     if (cache) {
+      const trace::TraceScope store_span(trace::Category::kFlow,
+                                         "flow:cache-store");
       if (!static_pnr_hit) {
         StaticPnrEntry entry;
         entry.ok = run_ok[kStaticSlot] != 0;

@@ -19,6 +19,55 @@ fabric::ResourceVec inflate(const fabric::ResourceVec& demand,
           scale(demand.dsp)};
 }
 
+/// A legal candidate pblock and its waste, computed once on enumeration.
+struct Candidate {
+  double waste;
+  fabric::Pblock pblock;
+};
+
+/// Every legal candidate pblock for `demand`, ignoring other partitions,
+/// sorted by (waste, row_lo, col_lo).
+std::vector<Candidate> ranked_candidates(const fabric::Device& device,
+                                         const fabric::ResourceVec& demand) {
+  std::vector<Candidate> result;
+  const int rows = device.region_rows();
+  const int cols = device.num_columns();
+
+  for (int height = 1; height <= rows; ++height) {
+    for (int row_lo = 0; row_lo + height - 1 < rows; ++row_lo) {
+      const int row_hi = row_lo + height - 1;
+      for (int col_lo = 0; col_lo < cols; ++col_lo) {
+        if (!fabric::Device::reconfigurable_column(
+                device.column_type(col_lo)))
+          continue;
+        // Extend right to the minimal covering width (first fit). Every
+        // column crossed is reconfigurable, so `acc` equals
+        // pblock_resources of the candidate.
+        fabric::ResourceVec acc;
+        for (int col_hi = col_lo; col_hi < cols; ++col_hi) {
+          if (!fabric::Device::reconfigurable_column(
+                  device.column_type(col_hi)))
+            break;  // cannot cross IO / clocking columns
+          acc += device.cell_resources(col_hi) * height;
+          if (acc.covers(demand)) {
+            result.push_back({lut_equivalent(acc - demand),
+                              fabric::Pblock{col_lo, col_hi, row_lo, row_hi}});
+            break;
+          }
+        }
+      }
+    }
+  }
+  std::sort(result.begin(), result.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.waste != b.waste) return a.waste < b.waste;
+              if (a.pblock.row_lo != b.pblock.row_lo)
+                return a.pblock.row_lo < b.pblock.row_lo;
+              return a.pblock.col_lo < b.pblock.col_lo;
+            });
+  return result;
+}
+
 }  // namespace
 
 double lut_equivalent(const fabric::ResourceVec& r) {
@@ -44,44 +93,8 @@ bool Floorplanner::legal(const fabric::Pblock& pblock,
 std::vector<fabric::Pblock> Floorplanner::candidates(
     const fabric::ResourceVec& demand) const {
   std::vector<fabric::Pblock> result;
-  const int rows = device_.region_rows();
-  const int cols = device_.num_columns();
-
-  for (int height = 1; height <= rows; ++height) {
-    for (int row_lo = 0; row_lo + height - 1 < rows; ++row_lo) {
-      const int row_hi = row_lo + height - 1;
-      for (int col_lo = 0; col_lo < cols; ++col_lo) {
-        if (!fabric::Device::reconfigurable_column(
-                device_.column_type(col_lo)))
-          continue;
-        // Extend right to the minimal covering width (first fit).
-        fabric::ResourceVec acc;
-        bool found = false;
-        for (int col_hi = col_lo; col_hi < cols; ++col_hi) {
-          if (!fabric::Device::reconfigurable_column(
-                  device_.column_type(col_hi)))
-            break;  // cannot cross IO / clocking columns
-          acc += device_.cell_resources(col_hi) * height;
-          if (acc.covers(demand)) {
-            result.push_back(fabric::Pblock{col_lo, col_hi, row_lo, row_hi});
-            found = true;
-            break;
-          }
-        }
-        if (!found) continue;
-      }
-    }
-  }
-  std::sort(result.begin(), result.end(),
-            [this, &demand](const fabric::Pblock& a, const fabric::Pblock& b) {
-              const double wa =
-                  lut_equivalent(fabric::pblock_resources(device_, a) - demand);
-              const double wb =
-                  lut_equivalent(fabric::pblock_resources(device_, b) - demand);
-              if (wa != wb) return wa < wb;
-              if (a.row_lo != b.row_lo) return a.row_lo < b.row_lo;
-              return a.col_lo < b.col_lo;
-            });
+  for (const Candidate& c : ranked_candidates(device_, demand))
+    result.push_back(c.pblock);
   return result;
 }
 
@@ -105,7 +118,11 @@ Floorplan Floorplanner::plan(const std::vector<PartitionRequest>& requests,
     return lut_equivalent(demands[a]) > lut_equivalent(demands[b]);
   });
 
+  // Each partition's ranked candidates are demand-dependent only: the
+  // greedy pass enumerates them once and refinement reuses them.
+  std::vector<std::vector<Candidate>> ranked(requests.size());
   std::vector<fabric::Pblock> placed(requests.size());
+  std::vector<double> waste(requests.size(), 0.0);
   std::vector<bool> done(requests.size(), false);
 
   auto overlaps_any = [&](const fabric::Pblock& pb, std::size_t self) {
@@ -115,16 +132,15 @@ Floorplan Floorplanner::plan(const std::vector<PartitionRequest>& requests,
   };
 
   for (const std::size_t i : order) {
-    const auto cands = candidates(demands[i]);
-    bool found = false;
-    for (const fabric::Pblock& cand : cands) {
-      if (overlaps_any(cand, i)) continue;
-      placed[i] = cand;
+    ranked[i] = ranked_candidates(device_, demands[i]);
+    for (const Candidate& cand : ranked[i]) {
+      if (overlaps_any(cand.pblock, i)) continue;
+      placed[i] = cand.pblock;
+      waste[i] = cand.waste;
       done[i] = true;
-      found = true;
       break;
     }
-    if (!found)
+    if (!done[i])
       throw InfeasibleDesign("no legal pblock for partition '" +
                              requests[i].name + "' (demand " +
                              demands[i].to_string() + ")");
@@ -132,38 +148,34 @@ Floorplan Floorplanner::plan(const std::vector<PartitionRequest>& requests,
 
   auto total_waste = [&] {
     double w = 0.0;
-    for (std::size_t i = 0; i < placed.size(); ++i)
-      w += lut_equivalent(fabric::pblock_resources(device_, placed[i]) -
-                          demands[i]);
+    for (const double wi : waste) w += wi;
     return w;
   };
 
   // Stochastic refinement: try relocating one pblock at a time to a less
   // wasteful legal rectangle, accepting strict improvements (the greedy
-  // order can strand early pblocks in oversized rectangles). Candidate
-  // lists are demand-dependent only, so they are enumerated once per
-  // partition and reused across iterations.
+  // order can strand early pblocks in oversized rectangles).
   if (options.refine && !requests.empty()) {
     presp::Rng rng(options.seed);
-    std::vector<std::vector<fabric::Pblock>> cached(requests.size());
     double best = total_waste();
     for (int iter = 0; iter < options.refine_iterations; ++iter) {
       const std::size_t i =
           static_cast<std::size_t>(rng.next_below(placed.size()));
-      if (cached[i].empty()) cached[i] = candidates(demands[i]);
-      const auto& cands = cached[i];
-      if (cands.empty()) continue;
+      const auto& cands = ranked[i];
       // Probe a random prefix position: earlier candidates waste less.
-      const std::size_t pick = static_cast<std::size_t>(
-          rng.next_below(std::min<std::size_t>(cands.size(), 16)));
+      const Candidate& cand = cands[static_cast<std::size_t>(
+          rng.next_below(std::min<std::size_t>(cands.size(), 16)))];
+      if (overlaps_any(cand.pblock, i)) continue;
       const fabric::Pblock old = placed[i];
-      if (overlaps_any(cands[pick], i)) continue;
-      placed[i] = cands[pick];
+      const double old_waste = waste[i];
+      placed[i] = cand.pblock;
+      waste[i] = cand.waste;
       const double now = total_waste();
       if (now < best) {
         best = now;
       } else {
         placed[i] = old;
+        waste[i] = old_waste;
       }
     }
   }

@@ -68,7 +68,8 @@ class Floorplanner {
                  const FloorplanOptions& options = {}) const;
 
   /// All legal candidate pblocks for one demand, ignoring other
-  /// partitions. Sorted by increasing waste. Used by tests and refinement.
+  /// partitions, in the order plan() tries them: increasing waste, ties
+  /// broken by row_lo, then col_lo.
   std::vector<fabric::Pblock> candidates(
       const fabric::ResourceVec& demand) const;
 

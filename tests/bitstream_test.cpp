@@ -7,13 +7,57 @@
 namespace presp::bitstream {
 namespace {
 
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial, each word fed low
+/// byte first): the reference the table-driven crc32 must reproduce.
+std::uint32_t reference_crc32(const std::vector<std::uint32_t>& words) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint32_t w : words) {
+    for (int byte = 0; byte < 4; ++byte) {
+      crc ^= (w >> (8 * byte)) & 0xFFu;
+      for (int bit = 0; bit < 8; ++bit)
+        crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 TEST(Crc32Test, KnownValuesAndSensitivity) {
   EXPECT_EQ(crc32({}), 0u);
+  // The standard check value of the bytes "12345678".
+  EXPECT_EQ(crc32({0x34333231u, 0x38373635u}), 0x9AE0DAAFu);
+  // An odd word count ends in the bytewise tail.
+  EXPECT_EQ(crc32({1u, 2u, 3u}), 0xB0E02293u);
   const std::vector<std::uint32_t> words{1, 2, 3, 4};
   auto tweaked = words;
   tweaked[2] ^= 1;
   EXPECT_NE(crc32(words), crc32(tweaked));
   EXPECT_EQ(crc32(words), crc32(words));
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  presp::Rng rng(11);
+  std::vector<std::uint32_t> words;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    EXPECT_EQ(crc32(words), reference_crc32(words)) << n << " words";
+    words.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+  }
+  std::vector<std::uint32_t> long_vector(10'000);
+  for (std::uint32_t& w : long_vector)
+    w = static_cast<std::uint32_t>(rng.next_u64());
+  EXPECT_EQ(crc32(long_vector), reference_crc32(long_vector));
+}
+
+TEST(FullRawBytesTest, ClosedFormMatchesBuiltImage) {
+  netlist::Netlist empty("e");
+  const pnr::Placement placement;
+  for (const fabric::Device& device :
+       {fabric::Device::vc707(), fabric::Device::vcu118(),
+        fabric::Device::vcu128()}) {
+    const BitstreamGenerator gen(device);
+    EXPECT_EQ(gen.full_raw_bytes(),
+              gen.full("soc", empty, placement).raw_bytes())
+        << device.name();
+  }
 }
 
 TEST(RleTest, RoundTripMixedContent) {

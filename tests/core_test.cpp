@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "bitstream/bitstream.hpp"
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
 #include "core/reference_designs.hpp"
@@ -312,6 +313,13 @@ TEST(FlowTest, PhysicalRunProducesBitstreams) {
     EXPECT_LT(m.pbs_compressed_bytes, m.pbs_raw_bytes);
   }
   EXPECT_GT(result.full_bitstream_bytes, 10'000'000u);  // ~19.5 MB VC707
+  // The flow reports the size without building the image; it must be
+  // the size of the image it would have built.
+  netlist::Netlist empty("e");
+  EXPECT_EQ(result.full_bitstream_bytes,
+            bitstream::BitstreamGenerator(device)
+                .full("e", empty, pnr::Placement{})
+                .raw_bytes());
 }
 
 TEST(FlowTest, ForcedStrategyOverridesTable1) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "floorplan/floorplanner.hpp"
 #include "util/error.hpp"
 
@@ -104,13 +106,50 @@ TEST_F(FloorplanFixture, CandidatesSortedByWaste) {
   const fabric::ResourceVec demand{5'000, 5'000, 4, 8};
   const auto cands = planner_.candidates(demand);
   ASSERT_GT(cands.size(), 1u);
-  double prev = -1.0;
-  for (const auto& pb : cands) {
-    const double waste =
-        lut_equivalent(fabric::pblock_resources(device_, pb) - demand);
-    EXPECT_GE(waste, prev - 1e-9);
-    prev = waste;
+  auto waste = [&](const fabric::Pblock& pb) {
+    return lut_equivalent(fabric::pblock_resources(device_, pb) - demand);
+  };
+  // Neighbours are ordered by (waste, row_lo, col_lo), not waste alone.
+  for (std::size_t k = 1; k < cands.size(); ++k) {
+    const fabric::Pblock& a = cands[k - 1];
+    const fabric::Pblock& b = cands[k];
+    const auto key_a = std::make_tuple(waste(a), a.row_lo, a.col_lo);
+    const auto key_b = std::make_tuple(waste(b), b.row_lo, b.col_lo);
+    EXPECT_LE(key_a, key_b) << a.to_string() << " before " << b.to_string();
   }
+}
+
+TEST_F(FloorplanFixture, EqualWasteCandidatesBreakTiesByRowThenColumn) {
+  // One CLB cell's LUTs exactly: every single-cell CLB pblock wastes
+  // nothing, so the zero-waste prefix is all ties on waste and must come
+  // out in (row_lo, col_lo) order.
+  std::vector<int> clb_cols;
+  for (int col = 0; col < device_.num_columns(); ++col)
+    if (device_.column_type(col) == fabric::ColumnType::kClb)
+      clb_cols.push_back(col);
+  ASSERT_FALSE(clb_cols.empty());
+  const fabric::ResourceVec demand{
+      device_.cell_resources(fabric::ColumnType::kClb).luts, 0, 0, 0};
+  std::vector<fabric::Pblock> expected;
+  for (int row = 0; row < device_.region_rows(); ++row)
+    for (const int col : clb_cols)
+      expected.push_back({col, col, row, row});
+
+  const auto cands = planner_.candidates(demand);
+  ASSERT_GT(cands.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    const fabric::Pblock& got = cands[k];
+    EXPECT_EQ(lut_equivalent(fabric::pblock_resources(device_, got) - demand),
+              0.0);
+    EXPECT_EQ(std::make_tuple(got.col_lo, got.col_hi, got.row_lo, got.row_hi),
+              std::make_tuple(expected[k].col_lo, expected[k].col_hi,
+                              expected[k].row_lo, expected[k].row_hi))
+        << "candidate " << k << " is " << got.to_string();
+  }
+  EXPECT_GT(lut_equivalent(
+                fabric::pblock_resources(device_, cands[expected.size()]) -
+                demand),
+            0.0);
 }
 
 TEST_F(FloorplanFixture, LegalChecksCoverAndColumns) {

@@ -24,8 +24,12 @@
 #              $BUILD_DIR/golden/; `diff -u` against tests/golden/ fails
 #              the stage on any changed byte, and so does a soak's own
 #              failure (an acceptance check, or a replay mismatch on any
-#              seed). To regenerate, copy those files over tests/golden/
-#              and name the diff in CHANGES.md
+#              seed). presp-flow builds soc_{x,y,z} with --out twice, on a
+#              cold and then a warm flow cache; the sha256 of every
+#              partial bitstream and floorplan JSON it writes must match
+#              tests/golden/flow_artifacts.sha256 both times. To
+#              regenerate, copy those files over tests/golden/ and name
+#              the diff in CHANGES.md
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
 #   tsan       ThreadSanitizer build running the exec unit tests
 #              (the owner-vs-thieves deque fan-out at pool widths 2/4/8,
@@ -241,9 +245,22 @@ bench_table5_vs_monolithic bench_table6_bitstreams bench_fig3_profiles \
 bench_fig4_wami_socs bench_ablation_runtime bench_ablation_devices \
 bench_ablation_model bench_ablation_strategy"
 
+# Runs presp-flow on soc_{x,y,z} with --out into a fresh $2 against the
+# flow cache in $1, and prints the sha256 of every artifact, by name.
+flow_artifact_digests() {
+  rm -rf "$2"
+  mkdir -p "$2"
+  for soc in soc_x soc_y soc_z; do
+    "$BUILD_DIR/tools/presp-flow" "examples/configs/$soc.esp_config" \
+        --out "$2" --cache-dir "$1" >/dev/null
+  done
+  (cd "$2" && sha256sum -- *.pbs *.floorplan.json) | LC_ALL=C sort -k 2
+}
+
 stage_golden() {
   # shellcheck disable=SC2086  # GOLDEN_BENCHES is a word list
-  cmake --build "$BUILD_DIR" --target $GOLDEN_BENCHES bench_soak wami_app -j
+  cmake --build "$BUILD_DIR" --target $GOLDEN_BENCHES bench_soak wami_app \
+      presp-flow -j
   GOLDEN_OUT="$BUILD_DIR/golden"
   rm -rf "$GOLDEN_OUT"
   mkdir -p "$GOLDEN_OUT"
@@ -259,6 +276,16 @@ stage_golden() {
   # Their stdout names the --json path, so only the reports are compared.
   "$SOAK" fleet 1 1 200 --json "$GOLDEN_OUT/soak_fleet.json"
   "$SOAK" defrag 1 1 150 --json "$GOLDEN_OUT/soak_defrag.json"
+  # Cold build into an empty cache, then a warm rebuild from it: both
+  # must write byte-identical partials and floorplans.
+  FLOW_DIR="$BUILD_DIR/golden_flow"
+  rm -rf "$FLOW_DIR"
+  flow_artifact_digests "$FLOW_DIR/cache" "$FLOW_DIR/cold" \
+      > "$GOLDEN_OUT/flow_artifacts.sha256"
+  flow_artifact_digests "$FLOW_DIR/cache" "$FLOW_DIR/warm" \
+      > "$FLOW_DIR/flow_artifacts_warm.sha256"
+  diff -u tests/golden/flow_artifacts.sha256 \
+      "$FLOW_DIR/flow_artifacts_warm.sha256"
   diff -u -r tests/golden "$GOLDEN_OUT"
   echo "tier-1 golden: $(ls "$GOLDEN_OUT" | wc -l) outputs match tests/golden"
 }
