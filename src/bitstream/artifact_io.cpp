@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -48,7 +49,9 @@ std::string pbs_filename(const std::string& design,
   return design + "_" + partition + "_" + module + ".pbs";
 }
 
-void write_bitstream(const Bitstream& bitstream, const std::string& path) {
+void write_bitstream(const Bitstream& bitstream,
+                     const std::vector<std::uint32_t>& rle,
+                     const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out)
     throw InvalidArgument("cannot write bitstream to '" + path + "'");
@@ -61,12 +64,15 @@ void write_bitstream(const Bitstream& bitstream, const std::string& path) {
   put<std::int32_t>(out, bitstream.pblock.row_lo);
   put<std::int32_t>(out, bitstream.pblock.row_hi);
   put<std::uint32_t>(out, bitstream.crc);
-  const auto compressed = rle_compress(bitstream.words);
   put<std::uint64_t>(out, bitstream.words.size());
-  put<std::uint64_t>(out, compressed.size());
-  out.write(reinterpret_cast<const char*>(compressed.data()),
-            static_cast<std::streamsize>(compressed.size() * 4));
+  put<std::uint64_t>(out, rle.size());
+  out.write(reinterpret_cast<const char*>(rle.data()),
+            static_cast<std::streamsize>(rle.size() * 4));
   if (!out) throw InvalidArgument("write to '" + path + "' failed");
+}
+
+void write_bitstream(const Bitstream& bitstream, const std::string& path) {
+  write_bitstream(bitstream, rle_compress(bitstream.words), path);
 }
 
 Bitstream read_bitstream(const std::string& path) {
@@ -105,11 +111,12 @@ Bitstream read_bitstream(const std::string& path) {
   in.read(reinterpret_cast<char*>(compressed.data()),
           static_cast<std::streamsize>(compressed_count) * 4);
   if (!in) throw InvalidArgument("truncated bitstream payload");
-  bs.words = rle_decompress(compressed, word_count);
-  if (bs.words.size() != word_count)
+  RleDecoded decoded = rle_decode(compressed, word_count);
+  if (decoded.words.size() != word_count)
     throw InvalidArgument("bitstream payload length mismatch");
-  if (crc32(bs.words) != bs.crc)
+  if (decoded.crc != bs.crc)
     throw Error("bitstream CRC mismatch in '" + path + "'");
+  bs.words = std::move(decoded.words);
   return bs;
 }
 

@@ -31,6 +31,40 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
+/// Advances a CRC register over one word (four bytes, low byte first).
+constexpr std::uint32_t crc_word(std::uint32_t crc, std::uint32_t word) {
+  const auto& t = kCrcTables;
+  const std::uint32_t x = crc ^ word;
+  return t[3][x & 0xFF] ^ t[2][(x >> 8) & 0xFF] ^ t[1][(x >> 16) & 0xFF] ^
+         t[0][x >> 24];
+}
+
+/// Feeding zero bytes maps the CRC register linearly over GF(2), so the
+/// register after n zero words is the xor of one lookup per register byte.
+/// kZeroTables[k] holds that map for n = 2^k; a run of any 32-bit length
+/// is one lookup group per set bit of its length.
+using ZeroTable = std::array<std::array<std::uint32_t, 256>, 4>;
+using ZeroTables = std::array<ZeroTable, 32>;
+
+constexpr std::uint32_t advance_zeros(const ZeroTable& z, std::uint32_t crc) {
+  return z[0][crc & 0xFF] ^ z[1][(crc >> 8) & 0xFF] ^
+         z[2][(crc >> 16) & 0xFF] ^ z[3][crc >> 24];
+}
+
+constexpr ZeroTables make_zero_tables() {
+  ZeroTables z{};
+  for (std::uint32_t byte = 0; byte < 4; ++byte)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      z[0][byte][i] = crc_word(i << (8 * byte), 0);
+  for (std::size_t k = 1; k < z.size(); ++k)
+    for (std::size_t byte = 0; byte < 4; ++byte)
+      for (std::size_t i = 0; i < 256; ++i)
+        z[k][byte][i] = advance_zeros(z[k - 1], z[k - 1][byte][i]);
+  return z;
+}
+
+constexpr ZeroTables kZeroTables = make_zero_tables();
+
 }  // namespace
 
 std::uint32_t crc32(const std::vector<std::uint32_t>& words) {
@@ -74,31 +108,47 @@ std::vector<std::uint32_t> rle_compress(
   return out;
 }
 
-std::vector<std::uint32_t> rle_decompress(
-    const std::vector<std::uint32_t>& compressed, std::uint64_t max_words) {
-  std::vector<std::uint32_t> out;
-  std::size_t i = 0;
-  while (i < compressed.size()) {
+RleDecoded rle_decode(const std::vector<std::uint32_t>& compressed,
+                      std::uint64_t max_words) {
+  // Check the markers and size the output before allocating it.
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < compressed.size(); ++i) {
     if (compressed[i] == 0) {
       PRESP_REQUIRE(i + 1 < compressed.size(),
                     "truncated RLE stream: zero marker without run length");
-      const std::uint32_t run = compressed[i + 1];
-      PRESP_REQUIRE(max_words == 0 || out.size() + run <= max_words,
+      const std::uint32_t run = compressed[++i];
+      PRESP_REQUIRE(run <= max_words - total,
                     "RLE run overflows the declared payload size");
-      out.insert(out.end(), run, 0u);
-      i += 2;
+      total += run;
     } else {
-      PRESP_REQUIRE(max_words == 0 || out.size() < max_words,
+      PRESP_REQUIRE(total < max_words,
                     "RLE stream overflows the declared payload size");
-      out.push_back(compressed[i]);
-      ++i;
+      ++total;
     }
   }
+
+  RleDecoded out;
+  out.words.resize(static_cast<std::size_t>(total));  // runs stay zero
+  std::uint32_t* dst = out.words.data();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < compressed.size(); ++i) {
+    const std::uint32_t word = compressed[i];
+    if (word != 0) {
+      *dst++ = word;
+      crc = crc_word(crc, word);
+      continue;
+    }
+    std::uint32_t run = compressed[++i];
+    dst += run;
+    for (std::size_t k = 0; run != 0; ++k, run >>= 1)
+      if (run & 1u) crc = advance_zeros(kZeroTables[k], crc);
+  }
+  out.crc = crc ^ 0xFFFFFFFFu;
   return out;
 }
 
 std::size_t Bitstream::compressed_bytes() const {
-  return rle_compress(words).size() * 4 + kHeaderBytes;
+  return compressed_bytes(rle_compress(words));
 }
 
 std::vector<std::uint32_t> BitstreamGenerator::frame_words(

@@ -32,14 +32,29 @@ std::uint32_t crc32(const std::vector<std::uint32_t>& words);
 
 /// Zero-run RLE: literal non-zero words pass through; a zero word is
 /// encoded as {0, run_length}. Models Vivado's bitstream compression
-/// (multi-frame-write of identical frames).
+/// (multi-frame-write of identical frames). A build compresses each
+/// partial once and hands the stream to every consumer (its compressed
+/// size, the `.pbs` artifact, the flow cache entry).
 std::vector<std::uint32_t> rle_compress(
     const std::vector<std::uint32_t>& words);
-/// `max_words` bounds the decompressed size: a corrupted run length must
-/// fail cleanly instead of exploding the allocation. 0 = unbounded.
-std::vector<std::uint32_t> rle_decompress(
-    const std::vector<std::uint32_t>& compressed,
-    std::uint64_t max_words = 0);
+
+/// An RLE stream decoded by rle_decode.
+struct RleDecoded {
+  std::vector<std::uint32_t> words;
+  std::uint32_t crc = 0;  // crc32(words), computed in the decoding pass
+};
+
+/// The one RLE decoder. `max_words` is the payload's declared word count:
+/// a run or literal past it throws InvalidArgument, as does a zero marker
+/// without a run length. The markers are checked before anything is
+/// allocated, so a corrupted run length fails cleanly instead of exploding
+/// the allocation; the output is then allocated once, at the size the
+/// stream decodes to, which callers compare with the declared count.
+/// The CRC is computed in the same pass: each literal through a one-word
+/// slicing step, each zero run through zero-advance tables (one per power
+/// of two of zero words, applied once per set bit of the run length).
+RleDecoded rle_decode(const std::vector<std::uint32_t>& compressed,
+                      std::uint64_t max_words);
 
 struct Bitstream {
   /// Identifies what the bitstream configures.
@@ -55,6 +70,10 @@ struct Bitstream {
   /// Compressed transport size (what lands in DDR and flows through the
   /// ICAP when compression is enabled).
   std::size_t compressed_bytes() const;
+  /// The same size given the words' RLE stream, without re-compressing.
+  static std::size_t compressed_bytes(const std::vector<std::uint32_t>& rle) {
+    return rle.size() * 4 + kHeaderBytes;
+  }
 
   static constexpr std::size_t kHeaderBytes = 128;  // sync + IDCODE + cmds
 };

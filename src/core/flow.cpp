@@ -338,6 +338,40 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
   }
 
   if (options_.run_physical) {
+    std::vector<char> run_ok(jobs.size() + 1, 1);
+    std::vector<double> run_fmax(jobs.size() + 1, 1e9);
+    const std::size_t kStaticSlot = jobs.size();
+    // Fresh partial bitstreams and their RLE streams, retained for cache
+    // stores.
+    std::vector<ModuleEntry> fresh(cache ? jobs.size() : 0);
+
+    // Replay cached stage results on the driver thread (fixed job order)
+    // before any task runs; the task graph below contains misses only.
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (!module_hits[j]) continue;
+      const ModuleEntry& hit = *module_hits[j];
+      ModuleImplementation& impl = result.modules[j];
+      impl.utilization = hit.utilization;
+      impl.routed = hit.routed;
+      impl.pbs_raw_bytes = hit.pbs.raw_bytes();
+      impl.pbs_compressed_bytes =
+          bitstream::Bitstream::compressed_bytes(hit.rle);
+      run_ok[j] = hit.routed ? 1 : 0;
+      run_fmax[j] = hit.fmax_mhz;
+    }
+    if (!options_.artifacts_dir.empty()) {
+      const trace::TraceScope span(trace::Category::kFlow,
+                                   "flow:artifact-write");
+      for (std::size_t j = 0; j < jobs.size(); ++j)
+        if (module_hits[j])
+          bitstream::write_bitstream(
+              module_hits[j]->pbs, module_hits[j]->rle,
+              options_.artifacts_dir + "/" +
+                  bitstream::pbs_filename(config.name,
+                                          result.modules[j].partition,
+                                          jobs[j].module));
+    }
+
     const trace::TraceScope span(trace::Category::kFlow, "flow:pnr");
     // The P&R task graph mirrors the chosen schedule: the static run
     // gates everything (partition runs negotiate against its routing
@@ -345,14 +379,6 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
     // runs ("one Vivado instance"); the tau groups run concurrently.
     // run_partition copies the static routing state, so every member sees
     // the identical context regardless of interleaving.
-    std::vector<char> run_ok(jobs.size() + 1, 1);
-    std::vector<double> run_fmax(jobs.size() + 1, 1e9);
-    const std::size_t kStaticSlot = jobs.size();
-    // Fresh partial bitstreams are retained for cache stores.
-    std::vector<bitstream::Bitstream> fresh_pbs(cache ? jobs.size() : 0);
-
-    // Replay cached stage results on the driver thread (fixed job order)
-    // before any task runs; the task graph below contains misses only.
     if (static_pnr_hit) {
       run_ok[kStaticSlot] = static_pnr_hit->ok ? 1 : 0;
       run_fmax[kStaticSlot] = static_pnr_hit->fmax_mhz;
@@ -361,23 +387,6 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
       for (std::size_t e = 0; e < static_pnr_hit->usage.size(); ++e)
         if (static_pnr_hit->usage[e] != 0)
           static_state.add_usage(e, static_pnr_hit->usage[e]);
-    }
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (!module_hits[j]) continue;
-      const ModuleEntry& hit = *module_hits[j];
-      ModuleImplementation& impl = result.modules[j];
-      impl.utilization = hit.utilization;
-      impl.routed = hit.routed;
-      impl.pbs_raw_bytes = hit.pbs.raw_bytes();
-      impl.pbs_compressed_bytes = hit.pbs.compressed_bytes();
-      run_ok[j] = hit.routed ? 1 : 0;
-      run_fmax[j] = hit.fmax_mhz;
-      if (!options_.artifacts_dir.empty())
-        bitstream::write_bitstream(
-            hit.pbs,
-            options_.artifacts_dir + "/" +
-                bitstream::pbs_filename(config.name, impl.partition,
-                                        jobs[j].module));
     }
 
     exec::TaskGraph pnr_graph;
@@ -423,15 +432,21 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
               bitstream::Bitstream pbs =
                   bitgen.partial(config.name, jobs[j].module, pblock,
                                  ooc.netlist, run.place.placement);
+              std::vector<std::uint32_t> rle =
+                  bitstream::rle_compress(pbs.words);
               impl.pbs_raw_bytes = pbs.raw_bytes();
-              impl.pbs_compressed_bytes = pbs.compressed_bytes();
+              impl.pbs_compressed_bytes =
+                  bitstream::Bitstream::compressed_bytes(rle);
               if (!options_.artifacts_dir.empty())
                 bitstream::write_bitstream(
-                    pbs, options_.artifacts_dir + "/" +
-                             bitstream::pbs_filename(
-                                 config.name, impl.partition,
-                                 jobs[j].module));
-              if (cache) fresh_pbs[j] = std::move(pbs);
+                    pbs, rle,
+                    options_.artifacts_dir + "/" +
+                        bitstream::pbs_filename(config.name, impl.partition,
+                                                jobs[j].module));
+              if (cache) {
+                fresh[j].pbs = std::move(pbs);
+                fresh[j].rle = std::move(rle);
+              }
             },
             std::move(deps), lut_priority(group_luts));
       }
@@ -459,11 +474,10 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
       }
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         if (module_hits[j]) continue;
-        ModuleEntry entry;
+        ModuleEntry& entry = fresh[j];
         entry.utilization = result.modules[j].utilization;
         entry.routed = result.modules[j].routed;
         entry.fmax_mhz = run_fmax[j];
-        entry.pbs = std::move(fresh_pbs[j]);
         cache->store_module(module_keys[j], entry);
       }
     }

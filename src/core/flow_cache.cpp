@@ -54,6 +54,16 @@ void put_string(std::string& out, const std::string& s) {
   out.append(s);
 }
 
+/// Appends each word low byte first, into storage sized once.
+void put_u32s(std::string& out, const std::vector<std::uint32_t>& words) {
+  std::size_t at = out.size();
+  out.resize(at + words.size() * 4);
+  for (const std::uint32_t w : words) {
+    for (int i = 0; i < 4; ++i) out[at + i] = static_cast<char>(w >> (8 * i));
+    at += 4;
+  }
+}
+
 void put_resources(std::string& out, const fabric::ResourceVec& r) {
   put_i64(out, r.luts);
   put_i64(out, r.ffs);
@@ -91,6 +101,21 @@ class Reader {
     return static_cast<std::int32_t>(v);
   }
   std::uint32_t u32() { return static_cast<std::uint32_t>(i32()); }
+  /// `n` words with one bounds check for the whole run.
+  std::vector<std::uint32_t> u32s(std::uint64_t n) {
+    if (n > (data_.size() - pos_) / 4) throw Error("cache payload truncated");
+    std::vector<std::uint32_t> words(static_cast<std::size_t>(n));
+    const char* p = data_.data() + pos_;
+    for (std::uint32_t& w : words) {
+      w = 0;
+      for (int i = 0; i < 4; ++i)
+        w |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+      p += 4;
+    }
+    pos_ += words.size() * 4;
+    return words;
+  }
   double f64() {
     const std::uint64_t bits = u64();
     double v = 0.0;
@@ -118,7 +143,7 @@ class Reader {
 
  private:
   void need(std::uint64_t n) const {
-    if (pos_ + n > data_.size()) throw Error("cache payload truncated");
+    if (n > data_.size() - pos_) throw Error("cache payload truncated");
   }
   const std::string& data_;
   std::size_t pos_ = 0;
@@ -167,7 +192,13 @@ StaticPnrEntry decode_static_pnr(const std::string& payload) {
 }
 
 std::string encode(const ModuleEntry& e) {
+  std::vector<std::uint32_t> compressed;
+  if (e.rle.empty()) compressed = bitstream::rle_compress(e.pbs.words);
+  const std::vector<std::uint32_t>& rle = e.rle.empty() ? compressed : e.rle;
   std::string out;
+  // The fixed-width fields take 94 bytes.
+  out.reserve(94 + e.pbs.design.size() + e.pbs.module.size() +
+              rle.size() * 4);
   put_resources(out, e.utilization);
   out.push_back(e.routed ? 1 : 0);
   put_double(out, e.fmax_mhz);
@@ -180,9 +211,8 @@ std::string encode(const ModuleEntry& e) {
   out.push_back(e.pbs.partial ? 1 : 0);
   put_u32(out, e.pbs.crc);
   put_u64(out, e.pbs.words.size());
-  const auto compressed = bitstream::rle_compress(e.pbs.words);
-  put_u64(out, compressed.size());
-  for (const std::uint32_t w : compressed) put_u32(out, w);
+  put_u64(out, rle.size());
+  put_u32s(out, rle);
   return out;
 }
 
@@ -205,15 +235,14 @@ ModuleEntry decode_module(const std::string& payload) {
   constexpr std::uint64_t kMaxWords = 1ull << 30;
   if (word_count > kMaxWords || compressed_count > 2 * word_count + 2)
     throw Error("implausible cached bitstream size");
-  std::vector<std::uint32_t> compressed(
-      static_cast<std::size_t>(compressed_count));
-  for (auto& w : compressed) w = r.u32();
+  e.rle = r.u32s(compressed_count);
   r.done();
-  e.pbs.words = bitstream::rle_decompress(compressed, word_count);
-  if (e.pbs.words.size() != word_count)
+  bitstream::RleDecoded decoded = bitstream::rle_decode(e.rle, word_count);
+  if (decoded.words.size() != word_count)
     throw Error("cached bitstream payload length mismatch");
-  if (bitstream::crc32(e.pbs.words) != e.pbs.crc)
+  if (decoded.crc != e.pbs.crc)
     throw Error("cached bitstream CRC mismatch");
+  e.pbs.words = std::move(decoded.words);
   return e;
 }
 

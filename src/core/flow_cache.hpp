@@ -95,6 +95,11 @@ struct ModuleEntry {
   bool routed = false;
   double fmax_mhz = 0.0;
   bitstream::Bitstream pbs;
+  /// `rle_compress(pbs.words)`, the stream the entry stores. load_module
+  /// fills it from the payload, so a hit writes its `.pbs` and reports its
+  /// compressed size without compressing again. Empty on a store means
+  /// "not computed": the entry compresses `pbs.words` itself.
+  std::vector<std::uint32_t> rle;
 };
 
 class FlowCache {

@@ -60,6 +60,16 @@ TEST(FullRawBytesTest, ClosedFormMatchesBuiltImage) {
   }
 }
 
+/// Decodes `compressed`, declaring `words.size()` words, and checks the
+/// words and the fused CRC against crc32 and the bit-at-a-time reference.
+void expect_decodes_to(const std::vector<std::uint32_t>& compressed,
+                       const std::vector<std::uint32_t>& words) {
+  const RleDecoded decoded = rle_decode(compressed, words.size());
+  EXPECT_EQ(decoded.words, words);
+  EXPECT_EQ(decoded.crc, crc32(words));
+  EXPECT_EQ(decoded.crc, reference_crc32(words));
+}
+
 TEST(RleTest, RoundTripMixedContent) {
   std::vector<std::uint32_t> words;
   presp::Rng rng(3);
@@ -69,23 +79,71 @@ TEST(RleTest, RoundTripMixedContent) {
                         : 0u);
   const auto compressed = rle_compress(words);
   EXPECT_LT(compressed.size(), words.size());
-  EXPECT_EQ(rle_decompress(compressed), words);
+  expect_decodes_to(compressed, words);
 }
 
 TEST(RleTest, AllZerosCompressToTwoWords) {
   const std::vector<std::uint32_t> zeros(5'000, 0u);
   const auto compressed = rle_compress(zeros);
   EXPECT_EQ(compressed.size(), 2u);
-  EXPECT_EQ(rle_decompress(compressed), zeros);
+  expect_decodes_to(compressed, zeros);
 }
 
 TEST(RleTest, NoZerosPassThrough) {
   std::vector<std::uint32_t> words{1, 2, 3, 4, 5};
   EXPECT_EQ(rle_compress(words), words);
+  expect_decodes_to(words, words);
 }
 
 TEST(RleTest, TruncatedStreamRejected) {
-  EXPECT_THROW(rle_decompress({0u}), InvalidArgument);
+  EXPECT_THROW(rle_decode({0u}, 8), InvalidArgument);
+  EXPECT_THROW(rle_decode({7u, 0u}, 8), InvalidArgument);
+}
+
+TEST(RleTest, DecodeCrcMatchesReferenceOnEdgeStreams) {
+  expect_decodes_to({}, {});
+  expect_decodes_to({0u, 0u}, {});  // a zero-length run emits nothing
+  expect_decodes_to({0xDEADBEEFu}, {0xDEADBEEFu});
+  // Isolated literals between single zeros.
+  const std::vector<std::uint32_t> isolated{0, 1, 0, 0xFFFFFFFFu, 0, 2, 0};
+  expect_decodes_to(rle_compress(isolated), isolated);
+  // Every run length sets a different mix of zero-table levels; each runs
+  // alone and between two literals.
+  for (const std::uint32_t run :
+       {1u, 2u, 3u, 255u, 256u, 65'535u, 65'537u, (1u << 20) | 5u}) {
+    std::vector<std::uint32_t> zeros(run, 0u);
+    expect_decodes_to({0u, run}, zeros);
+    zeros.insert(zeros.begin(), 0x12345678u);
+    zeros.push_back(0x9ABCDEF0u);
+    expect_decodes_to({0x12345678u, 0u, run, 0x9ABCDEF0u}, zeros);
+  }
+}
+
+TEST(RleTest, DecodeCrcMatchesReferenceOnMixedStream) {
+  // Bursts of literals between zero runs of random length up to 600.
+  presp::Rng rng(0x524c45);
+  std::vector<std::uint32_t> words;
+  while (words.size() < 10'000) {
+    for (std::uint64_t n = rng.next_below(9); n > 0; --n)
+      words.push_back(static_cast<std::uint32_t>(rng.next_u64() | 1));
+    words.insert(words.end(), rng.next_below(600), 0u);
+  }
+  words.resize(10'000);
+  expect_decodes_to(rle_compress(words), words);
+}
+
+TEST(RleTest, OverflowingStreamsRejected) {
+  // A run past the declared count is rejected before anything is
+  // allocated.
+  EXPECT_THROW(rle_decode({0u, 5u}, 4), InvalidArgument);
+  EXPECT_THROW(rle_decode({1u, 0u, 0xFFFFFFFFu}, 1ull << 30),
+               InvalidArgument);
+  // A literal past it.
+  EXPECT_THROW(rle_decode({1u, 2u, 3u}, 2), InvalidArgument);
+  EXPECT_THROW(rle_decode({0u, 2u, 3u}, 2), InvalidArgument);
+  // A stream short of the count decodes to what it holds; callers compare
+  // the size with the count they declared.
+  EXPECT_EQ(rle_decode({1u, 0u, 2u}, 10).words.size(), 3u);
 }
 
 class BitstreamFixture : public ::testing::Test {

@@ -331,6 +331,10 @@ TEST(TaskGraph, StealingActuallyHappensUnderImbalance) {
     });
   group.wait();
   EXPECT_EQ(count.load(), 256);
+  // group.wait() returns once every task body has signalled the group,
+  // but a worker bumps `executed` only after the body returns; wait_idle()
+  // returns after the last worker has done so.
+  pool.wait_idle();
   EXPECT_EQ(pool.stats().executed, 256u);
 }
 

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "bitstream/artifact_io.hpp"
@@ -15,6 +16,8 @@
 #include "fabric/device.hpp"
 #include "netlist/soc_config.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace presp::core {
 namespace {
@@ -193,6 +196,175 @@ TEST(FlowCacheTest, UnboundedWhenMaxBytesNonPositive) {
   for (std::uint64_t k = 0; k < 6; ++k)
     cache.store_module(k, sample_module(static_cast<std::uint32_t>(k)));
   EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(FlowCacheTest, LoadedStreamIsTheStoredOne) {
+  FlowCacheOptions opt;
+  opt.dir = fresh_dir("fc_stream");
+  FlowCache cache(opt);
+  ModuleEntry entry = sample_module(4);
+  entry.pbs.words[7] = 0;
+  entry.pbs.words.insert(entry.pbs.words.begin() + 100, 300, 0u);
+  entry.pbs.crc = bitstream::crc32(entry.pbs.words);
+  cache.store_module(1, entry);  // compresses pbs.words itself
+  entry.rle = bitstream::rle_compress(entry.pbs.words);
+  cache.store_module(2, entry);  // stores the stream it was handed
+
+  const auto loaded = cache.load_module(1);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->rle, entry.rle);
+  EXPECT_EQ(loaded->pbs.words, entry.pbs.words);
+  EXPECT_EQ(bitstream::read_cache_blob(cache.dir() + "/0000000000000001.pfc", 1)
+                .payload,
+            bitstream::read_cache_blob(cache.dir() + "/0000000000000002.pfc", 2)
+                .payload);
+}
+
+/// The only entry file in `dir`.
+fs::path only_entry(const std::string& dir) {
+  fs::path found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_TRUE(found.empty()) << "more than one entry in " << dir;
+    found = entry.path();
+  }
+  return found;
+}
+
+TEST(FlowCacheTest, FlippedRleLiteralFailsTheCrcCheck) {
+  FlowCacheOptions opt;
+  opt.dir = fresh_dir("fc_crc_gate");
+  FlowCache cache(opt);
+  cache.store_module(11, sample_module(3));  // every word a literal 3
+  const fs::path victim = only_entry(opt.dir);
+
+  // Rewrite the blob with its RLE stream's last literal changed from 3 to
+  // 0x13 and a payload hash that matches: only the decoded words' CRC can
+  // tell.
+  bitstream::CacheBlob blob = bitstream::read_cache_blob(victim.string(), 11);
+  ASSERT_EQ(blob.payload[blob.payload.size() - 4], '\x03');
+  blob.payload[blob.payload.size() - 4] = '\x13';
+  bitstream::write_cache_blob(blob, victim.string());
+
+  FlowCache reopened(opt);
+  EXPECT_FALSE(reopened.load_module(11).has_value());
+  EXPECT_EQ(reopened.stats().poisoned, 1u);
+  EXPECT_FALSE(fs::exists(victim));  // rejected entries are deleted
+}
+
+// ---- binary parsers under seeded mutation ---------------------------
+
+/// One seeded byte flip, truncation or insertion, as JsonMutationTest
+/// applies them to the JSON artifacts.
+void mutate(std::string& bytes, Rng& rng) {
+  const std::size_t pos = rng.next_below(bytes.size());
+  const auto byte = static_cast<char>(1 + rng.next_below(255));
+  switch (rng.next_below(3)) {
+    case 0: bytes[pos] = static_cast<char>(bytes[pos] ^ byte); break;
+    case 1: bytes.resize(pos); break;
+    default: bytes.insert(pos, 1, byte); break;
+  }
+}
+
+/// Literal bursts between zero runs, so mutations land on literals, zero
+/// markers and run lengths alike.
+std::vector<std::uint32_t> bursty_words(Rng& rng, std::size_t count) {
+  std::vector<std::uint32_t> words;
+  while (words.size() < count) {
+    for (std::uint64_t n = 1 + rng.next_below(8); n > 0; --n)
+      words.push_back(static_cast<std::uint32_t>(rng.next_u64() | 1));
+    words.insert(words.end(), 1 + rng.next_below(300), 0u);
+  }
+  words.resize(count);
+  return words;
+}
+
+// PFC1 module payloads, each mutant rewritten under a matching payload hash
+// so it reaches decode_module and the RLE decoder: every mutant must be
+// rejected (poisoned and removed) or load words whose CRC matches.
+TEST(FlowCacheMutationTest, ModulePayloadsRejectOrLoadCrcCleanWords) {
+  constexpr std::uint64_t kSeed = 0x50464331;
+  constexpr int kMutations = 1000;
+  constexpr std::uint64_t kKey = 21;
+  Rng rng(kSeed);
+  FlowCacheOptions opt;
+  opt.dir = fresh_dir("fc_mutation");
+  opt.max_bytes = 0;
+  FlowCache cache(opt);
+  ModuleEntry entry = sample_module(5);
+  entry.pbs.words = bursty_words(rng, 3000);
+  entry.pbs.crc = bitstream::crc32(entry.pbs.words);
+  cache.store_module(kKey, entry);
+  const std::string path = only_entry(opt.dir).string();
+  const bitstream::CacheBlob stored = bitstream::read_cache_blob(path, kKey);
+
+  // One warning per rejected mutant would drown the test log.
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kError);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    bitstream::CacheBlob blob = stored;
+    mutate(blob.payload, rng);
+    bitstream::write_cache_blob(blob, path);
+    const std::uint64_t poisoned = cache.stats().poisoned;
+    const auto loaded = cache.load_module(kKey);
+    if (loaded) {
+      ++accepted;
+      EXPECT_EQ(bitstream::crc32(loaded->pbs.words), loaded->pbs.crc)
+          << "seed " << kSeed << " mutation " << i;
+    } else {
+      EXPECT_EQ(cache.stats().poisoned, poisoned + 1)
+          << "seed " << kSeed << " mutation " << i;
+      EXPECT_FALSE(fs::exists(path)) << "seed " << kSeed << " mutation " << i;
+    }
+  }
+  set_log_level(level);
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutations / 2);
+}
+
+// PBS1 files read back by read_bitstream: every mutant must throw a
+// presp::Error or read words whose CRC matches.
+TEST(FlowCacheMutationTest, BitstreamFilesRejectOrReadCrcCleanWords) {
+  constexpr std::uint64_t kSeed = 0x50425331;
+  constexpr int kMutations = 1000;
+  Rng rng(kSeed);
+  bitstream::Bitstream pbs;
+  pbs.design = "soc";
+  pbs.module = "mod";
+  pbs.pblock = {1, 4, 0, 1};
+  pbs.partial = true;
+  pbs.words = bursty_words(rng, 3000);
+  pbs.crc = bitstream::crc32(pbs.words);
+  const std::string dir = fresh_dir("pbs_mutation");
+  fs::create_directories(dir);
+  const std::string path = dir + "/m.pbs";
+  bitstream::write_bitstream(pbs, path);
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string mutated = file;
+    mutate(mutated, rng);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << mutated;
+    try {
+      const bitstream::Bitstream read = bitstream::read_bitstream(path);
+      ++accepted;
+      EXPECT_EQ(bitstream::crc32(read.words), read.crc)
+          << "seed " << kSeed << " mutation " << i;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << kSeed << " mutation " << i
+                    << " threw a non-presp::Error: " << e.what();
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, kMutations / 2);
 }
 
 // ---- end-to-end: the flow over a real SoC config --------------------
