@@ -316,8 +316,9 @@ void FlowCache::reject(const std::string& path, const std::string& why) {
   PRESP_WARN("flow-cache") << "rejected cache entry " << path << ": " << why;
 }
 
-std::optional<std::string> FlowCache::load(std::uint64_t key,
-                                           std::uint32_t kind) {
+template <typename Entry>
+std::optional<Entry> FlowCache::load(std::uint64_t key, std::uint32_t kind,
+                                     Entry (*decode)(const std::string&)) {
   // The cache is driver-thread-only by contract (see flow_cache.hpp):
   // load() mutates LRU/stat state.
   const std::string path = path_for(key);
@@ -327,12 +328,15 @@ std::optional<std::string> FlowCache::load(std::uint64_t key,
     return std::nullopt;
   }
   try {
-    bitstream::CacheBlob blob = bitstream::read_cache_blob(path, key);
+    const bitstream::CacheBlob blob = bitstream::read_cache_blob(path, key);
     if (blob.kind != kind)
       throw Error("cache entry kind mismatch (schema drift)");
+    Entry entry = decode(blob.payload);
+    // A hit only once the payload has decoded: a poisoned entry counts
+    // as a miss alone.
     ++stats_.hits;
     touch(path);
-    return std::move(blob.payload);
+    return entry;
   } catch (const std::exception& e) {
     // Poisoned entry: reject, remove, count as a miss. Never trust
     // partial content.
@@ -388,14 +392,7 @@ void FlowCache::evict_to_fit() {
 }
 
 std::optional<StaticMetaEntry> FlowCache::load_static_meta(std::uint64_t key) {
-  const auto payload = load(key, kKindStaticMeta);
-  if (!payload) return std::nullopt;
-  try {
-    return decode_static_meta(*payload);
-  } catch (const std::exception& e) {
-    reject(path_for(key), e.what());
-    return std::nullopt;
-  }
+  return load(key, kKindStaticMeta, decode_static_meta);
 }
 
 void FlowCache::store_static_meta(std::uint64_t key,
@@ -404,14 +401,7 @@ void FlowCache::store_static_meta(std::uint64_t key,
 }
 
 std::optional<StaticPnrEntry> FlowCache::load_static_pnr(std::uint64_t key) {
-  const auto payload = load(key, kKindStaticPnr);
-  if (!payload) return std::nullopt;
-  try {
-    return decode_static_pnr(*payload);
-  } catch (const std::exception& e) {
-    reject(path_for(key), e.what());
-    return std::nullopt;
-  }
+  return load(key, kKindStaticPnr, decode_static_pnr);
 }
 
 void FlowCache::store_static_pnr(std::uint64_t key,
@@ -420,14 +410,7 @@ void FlowCache::store_static_pnr(std::uint64_t key,
 }
 
 std::optional<ModuleEntry> FlowCache::load_module(std::uint64_t key) {
-  const auto payload = load(key, kKindModule);
-  if (!payload) return std::nullopt;
-  try {
-    return decode_module(*payload);
-  } catch (const std::exception& e) {
-    reject(path_for(key), e.what());
-    return std::nullopt;
-  }
+  return load(key, kKindModule, decode_module);
 }
 
 void FlowCache::store_module(std::uint64_t key, const ModuleEntry& entry) {

@@ -137,7 +137,11 @@ class FlowCache {
 
  private:
   std::string path_for(std::uint64_t key) const;
-  std::optional<std::string> load(std::uint64_t key, std::uint32_t kind);
+  /// Reads, verifies and decodes one entry. Counts a hit only when the
+  /// decode succeeds; a corrupt entry is rejected as poisoned + miss.
+  template <typename Entry>
+  std::optional<Entry> load(std::uint64_t key, std::uint32_t kind,
+                            Entry (*decode)(const std::string&));
   void store(std::uint64_t key, std::uint32_t kind, std::string payload);
   /// Oldest-mtime-first eviction until the footprint fits max_bytes.
   void evict_to_fit();

@@ -61,8 +61,9 @@ struct FleetTopology {
   double tenant_burst = 8.0;
   /// Online defragmentation: when true every shard runs a background
   /// runtime::Repacker over a dynamic floorplan of its fabric
-  /// (`repack = 1` in the config; presp-lint runtime.repacker-bounds
-  /// checks the knobs below).
+  /// (`repack = 1` in [fleet], the only section that configures
+  /// repacking; presp-lint runtime.repacker-bounds checks the knobs
+  /// below).
   bool repack = false;
   /// Cycles between repack passes on each shard. Must stay positive.
   long long repack_interval_cycles = 2'000'000;

@@ -6,34 +6,10 @@
 #include "hls/library.hpp"
 #include "hls/spec_io.hpp"
 #include "noc/noc.hpp"
-#include "runtime/manager.hpp"
-#include "runtime/repacker.hpp"
 #include "util/string_utils.hpp"
 #include "wami/accelerators.hpp"
 
 namespace presp::lint {
-
-namespace {
-
-/// Parses a "r<R>c<C>" tile key; throws ConfigError on malformed input.
-std::pair<int, int> parse_tile_key(const std::string& key) {
-  if (key.size() < 4 || key[0] != 'r')
-    throw ConfigError("malformed tile key '" + key + "' (want r<R>c<C>)");
-  const std::size_t cpos = key.find('c', 1);
-  if (cpos == std::string::npos)
-    throw ConfigError("malformed tile key '" + key + "' (want r<R>c<C>)");
-  const int row = static_cast<int>(parse_int(key.substr(1, cpos - 1)));
-  const int col = static_cast<int>(parse_int(key.substr(cpos + 1)));
-  return {row, col};
-}
-
-}  // namespace
-
-const TaskSpec* TaskGraphSpec::find(const std::string& name) const {
-  for (const TaskSpec& t : tasks)
-    if (t.name == name) return &t;
-  return nullptr;
-}
 
 const std::vector<int>& RouteTable::route(int src, int dst) const {
   PRESP_REQUIRE(src >= 0 && src < num_tiles() && dst >= 0 &&
@@ -186,167 +162,6 @@ const RouteTable& LintContext::routes() {
   return *routes_;
 }
 
-ReconfPlan LintContext::parse_plan() {
-  const Config& cfg = raw();
-  const netlist::SocConfig& config = soc();
-
-  ReconfPlan plan;
-  const runtime::ManagerOptions defaults;
-  plan.retry_budget = defaults.retry_budget;
-  plan.max_attempts = defaults.max_attempts;
-  plan.backoff_base_cycles = defaults.backoff_base_cycles;
-  plan.watchdog_reconf_margin = defaults.watchdog_reconf_margin;
-  const runtime::RepackerOptions repack_defaults;
-  plan.repack_interval_cycles = repack_defaults.interval_cycles;
-  plan.repack_frag_threshold = repack_defaults.frag_threshold;
-  plan.repack_max_migrations = repack_defaults.max_migrations_per_pass;
-  plan.repack_migration_budget = repack_defaults.migration_budget;
-
-  const auto keys = cfg.keys("runtime");
-  if (keys.empty()) return plan;
-  plan.declared = true;
-
-  for (const std::string& key : keys) {
-    const std::string& value = cfg.get("runtime", key);
-    try {
-      if (starts_with(key, "thread")) {
-        PlanThread thread;
-        thread.name = key;
-        thread.line = line_of("runtime", key);
-        for (const std::string& chain_text : split(value, ',')) {
-          PlanChain chain;
-          for (const std::string& token : split(chain_text, '+')) {
-            const std::string request_text{trim(token)};
-            if (request_text.empty()) continue;
-            const std::size_t colon = request_text.find(':');
-            if (colon == std::string::npos)
-              throw ConfigError("malformed request '" + request_text +
-                                "' (want r<R>c<C>:<module>)");
-            PlanRequest request;
-            const auto [row, col] =
-                parse_tile_key(request_text.substr(0, colon));
-            request.row = row;
-            request.col = col;
-            if (row < 0 || row >= config.rows || col < 0 ||
-                col >= config.cols)
-              throw ConfigError("request tile r" + std::to_string(row) +
-                                "c" + std::to_string(col) +
-                                " outside the grid");
-            request.tile = row * config.cols + col;
-            request.module =
-                std::string(trim(request_text.substr(colon + 1)));
-            if (request.module.empty())
-              throw ConfigError("request '" + request_text +
-                                "' names no module");
-            chain.requests.push_back(std::move(request));
-          }
-          if (!chain.requests.empty())
-            thread.chains.push_back(std::move(chain));
-        }
-        plan.threads.push_back(std::move(thread));
-      } else if (key == "retry_budget") {
-        plan.retry_budget = static_cast<int>(parse_int(value));
-      } else if (key == "max_attempts") {
-        plan.max_attempts = static_cast<int>(parse_int(value));
-      } else if (key == "backoff_base_cycles") {
-        plan.backoff_base_cycles = parse_int(value);
-      } else if (key == "watchdog_reconf_margin") {
-        plan.watchdog_reconf_margin = parse_double(value);
-      } else if (key == "repack_interval_cycles") {
-        plan.repack_interval_cycles = parse_int(value);
-        plan.repack_declared = true;
-      } else if (key == "repack_frag_threshold") {
-        plan.repack_frag_threshold = parse_double(value);
-        plan.repack_declared = true;
-      } else if (key == "repack_max_migrations") {
-        plan.repack_max_migrations = static_cast<int>(parse_int(value));
-        plan.repack_declared = true;
-      } else if (key == "repack_migration_budget") {
-        plan.repack_migration_budget = static_cast<int>(parse_int(value));
-        plan.repack_declared = true;
-      } else {
-        throw ConfigError("unknown [runtime] key '" + key + "'");
-      }
-    } catch (const ConfigError& e) {
-      throw ArtifactError("config.parse",
-                          "[runtime] " + key + ": " + e.what());
-    }
-  }
-  return plan;
-}
-
-const ReconfPlan& LintContext::plan() {
-  if (!plan_) plan_ = parse_plan();
-  return *plan_;
-}
-
-TaskGraphSpec LintContext::parse_task_graph() {
-  const Config& cfg = raw();
-  TaskGraphSpec spec;
-  const auto keys = cfg.keys("tasks");
-  if (keys.empty()) return spec;
-  spec.declared = true;
-  for (const std::string& key : keys) {
-    TaskSpec task;
-    task.name = key;
-    task.line = line_of("tasks", key);
-    for (const std::string& dep : split(cfg.get("tasks", key), ',')) {
-      const std::string name{trim(dep)};
-      if (!name.empty()) task.deps.push_back(name);
-    }
-    spec.tasks.push_back(std::move(task));
-  }
-  return spec;
-}
-
-const TaskGraphSpec& LintContext::task_graph() {
-  if (!task_graph_) task_graph_ = parse_task_graph();
-  return *task_graph_;
-}
-
-const std::map<int, std::vector<std::string>>& LintContext::manifest() {
-  if (!manifest_) {
-    const Config& cfg = raw();
-    const netlist::SocConfig& config = soc();
-    std::map<int, std::vector<std::string>> manifest;
-    const auto keys = cfg.keys("bitstreams");
-    if (!keys.empty()) {
-      for (const std::string& key : keys) {
-        try {
-          const auto [row, col] = parse_tile_key(key);
-          if (row < 0 || row >= config.rows || col < 0 ||
-              col >= config.cols)
-            throw ConfigError("tile key '" + key + "' outside the grid");
-          auto& modules = manifest[row * config.cols + col];
-          for (const std::string& m : split(cfg.get("bitstreams", key), ',')) {
-            const std::string name{trim(m)};
-            if (!name.empty()) modules.push_back(name);
-          }
-        } catch (const ConfigError& e) {
-          throw ArtifactError("config.parse",
-                              std::string("[bitstreams] ") + e.what());
-        }
-      }
-    } else {
-      for (int index = 0; index < static_cast<int>(config.tiles.size());
-           ++index) {
-        const netlist::TileSpec& tile =
-            config.tiles[static_cast<std::size_t>(index)];
-        if (tile.type == netlist::TileType::kReconf) {
-          manifest[index] = tile.accelerators;
-        } else if (tile.type == netlist::TileType::kCpu &&
-                   tile.cpu_in_reconfigurable_partition) {
-          manifest[index] = {tile.cpu_core == netlist::CpuCore::kLeon3
-                                 ? netlist::ComponentLibrary::kLeon3
-                                 : netlist::ComponentLibrary::kCva6};
-        }
-      }
-    }
-    manifest_ = std::move(manifest);
-  }
-  return *manifest_;
-}
-
 // -------------------------------------------------- fixture injection
 
 void LintContext::override_netlist(netlist::Netlist nl) {
@@ -370,12 +185,6 @@ void LintContext::override_routes(RouteTable routes) {
 
 void LintContext::override_rtl(netlist::SocRtl rtl) {
   rtl_ = std::move(rtl);
-}
-
-void LintContext::override_plan(ReconfPlan plan) { plan_ = std::move(plan); }
-
-void LintContext::override_task_graph(TaskGraphSpec spec) {
-  task_graph_ = std::move(spec);
 }
 
 // --------------------------------------------------- source locations
@@ -403,17 +212,24 @@ int LintContext::line_of(const std::string& section,
   return 0;
 }
 
-int LintContext::line_of_section(const std::string& section) const {
+std::vector<std::pair<std::string, int>> LintContext::section_headers()
+    const {
+  std::vector<std::pair<std::string, int>> headers;
   std::istringstream is(text_);
   std::string raw_line;
   int line_no = 0;
   while (std::getline(is, raw_line)) {
     ++line_no;
     std::string_view line = trim(raw_line);
-    if (line.size() >= 2 && line.front() == '[' && line.back() == ']' &&
-        std::string(trim(line.substr(1, line.size() - 2))) == section)
-      return line_no;
+    if (line.size() >= 2 && line.front() == '[' && line.back() == ']')
+      headers.emplace_back(trim(line.substr(1, line.size() - 2)), line_no);
   }
+  return headers;
+}
+
+int LintContext::line_of_section(const std::string& section) const {
+  for (const auto& [name, line] : section_headers())
+    if (name == section) return line;
   return 0;
 }
 

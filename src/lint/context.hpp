@@ -4,46 +4,20 @@
 // request, every artifact a rule may need: the parsed Config and
 // SocConfig, the component library (builtins + characterization + WAMI +
 // custom [accelerator] sections), the elaborated RTL hierarchy, the
-// synthesized static netlist, the DPR floorplan, the NoC route tables,
-// the runtime reconfiguration plan ([runtime] section) and the exec task
-// graph ([tasks] section). Artifacts are cached; materialization failures
-// throw ArtifactError carrying the rule id the failure reports under, so
-// the rule runner can convert them into diagnostics exactly once.
+// synthesized static netlist, the DPR floorplan and the NoC route
+// tables. Artifacts are cached; materialization failures throw
+// ArtifactError carrying the rule id the failure reports under, so the
+// rule runner can convert them into diagnostics exactly once.
 //
 // Tests inject seeded-violation fixtures through the override_* setters,
 // which bypass derivation for a single artifact while the rest of the
 // pipeline still materializes normally.
-//
-// Optional config sections understood by the lint layer:
-//
-//   [runtime]
-//   # request sequences, one key per software thread; ',' separates
-//   # independent requests, '+' chains requests whose tile locks are
-//   # held simultaneously (nested acquisition).
-//   thread_main = r1c0:conv2d, r1c1:gemm + r1c0:fft
-//   retry_budget = 3
-//   max_attempts = 3
-//   backoff_base_cycles = 10000
-//   watchdog_reconf_margin = 8.0
-//   # defragmentation repacker knobs (runtime.repacker-bounds)
-//   repack_interval_cycles = 2000000
-//   repack_migration_budget = 2
-//
-//   [bitstreams]
-//   # explicit BitstreamStore manifest; defaults to every reconfigurable
-//   # tile's member set when absent.
-//   r1c0 = conv2d, gemm
-//
-//   [tasks]
-//   # task = comma-separated dependencies ("" = source task)
-//   synth_static =
-//   pnr_static = synth_static
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fabric/device.hpp"
@@ -66,63 +40,6 @@ class ArtifactError : public Error {
 
  private:
   std::string rule_;
-};
-
-// ------------------------------------------------- runtime plan artifact
-
-struct PlanRequest {
-  int row = -1;
-  int col = -1;
-  int tile = -1;  // row-major grid index
-  std::string module;
-};
-
-/// '+'-chained requests: the issuing thread acquires each request's tile
-/// lock in order and holds all of them until the chain completes.
-struct PlanChain {
-  std::vector<PlanRequest> requests;
-};
-
-struct PlanThread {
-  std::string name;
-  int line = 0;  // config line of the thread key
-  std::vector<PlanChain> chains;
-};
-
-/// Static model of the runtime manager's workload: per-thread request
-/// sequences plus the retry/backoff tuning knobs (defaulted from
-/// runtime::ManagerOptions when the [runtime] section omits them).
-struct ReconfPlan {
-  std::vector<PlanThread> threads;
-  int retry_budget = 0;
-  int max_attempts = 0;
-  long long backoff_base_cycles = 0;
-  double watchdog_reconf_margin = 0.0;
-  /// Defragmentation repacker knobs (repack_* keys in [runtime];
-  /// defaulted from runtime::RepackerOptions). repack_declared is set
-  /// when any repack_* key appears.
-  bool repack_declared = false;
-  long long repack_interval_cycles = 0;
-  double repack_frag_threshold = 0.0;
-  int repack_max_migrations = 0;
-  int repack_migration_budget = 0;
-  /// True when the config carries a [runtime] section at all.
-  bool declared = false;
-};
-
-// ------------------------------------------------------ exec artifact
-
-struct TaskSpec {
-  std::string name;
-  std::vector<std::string> deps;
-  int line = 0;
-};
-
-struct TaskGraphSpec {
-  std::vector<TaskSpec> tasks;
-  bool declared = false;
-
-  const TaskSpec* find(const std::string& name) const;
 };
 
 // ------------------------------------------------------- NoC artifact
@@ -166,11 +83,6 @@ class LintContext {
   /// order as floorplan().pblocks).
   const std::vector<floorplan::PartitionRequest>& partition_requests();
   const RouteTable& routes();                 // config.parse
-  const ReconfPlan& plan();                   // config.parse
-  const TaskGraphSpec& task_graph();          // config.parse
-  /// Partial-bitstream manifest: modules available per tile ([bitstreams]
-  /// section, else derived from the reconfigurable tiles' member sets).
-  const std::map<int, std::vector<std::string>>& manifest();
 
   // Fixture injection (tests): replaces one artifact.
   void override_netlist(netlist::Netlist nl);
@@ -178,19 +90,17 @@ class LintContext {
                           std::vector<floorplan::PartitionRequest> requests);
   void override_routes(RouteTable routes);
   void override_rtl(netlist::SocRtl rtl);
-  void override_plan(ReconfPlan plan);
-  void override_task_graph(TaskGraphSpec spec);
 
   /// 1-based config line of `key` in `[section]` (0 if not found);
   /// anchors diagnostics into the source text.
   int line_of(const std::string& section, const std::string& key) const;
-  /// 1-based line of the [section] header itself (0 if not found).
+  /// Every [section] header with its 1-based line, in source order.
+  /// Unlike raw().sections(), this also lists headers with no keys.
+  std::vector<std::pair<std::string, int>> section_headers() const;
+  /// 1-based line of the first [section] header (0 if not found).
   int line_of_section(const std::string& section) const;
 
  private:
-  ReconfPlan parse_plan();
-  TaskGraphSpec parse_task_graph();
-
   std::string text_;
   std::string file_;
 
@@ -203,9 +113,6 @@ class LintContext {
   std::optional<floorplan::Floorplan> floorplan_;
   std::optional<std::vector<floorplan::PartitionRequest>> requests_;
   std::optional<RouteTable> routes_;
-  std::optional<ReconfPlan> plan_;
-  std::optional<TaskGraphSpec> task_graph_;
-  std::optional<std::map<int, std::vector<std::string>>> manifest_;
 };
 
 }  // namespace presp::lint

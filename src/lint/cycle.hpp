@@ -1,13 +1,12 @@
 // Shared cycle detection for the static analyses.
 //
-// Clients: the runtime.lock-order rule (tile-lock acquisition orders),
-// the noc.deadlock rule (channel dependencies between links) and the
-// runtime manager's declared semaphore nesting (kManagerLockNesting,
-// checked in runtime_test). This header is the one cycle search they
-// share: an iterative three-colour DFS over a small adjacency-list
-// digraph that returns the first cycle found as an explicit node
-// sequence, so every caller can render "a -> b -> ... -> a" without
-// re-deriving it from colouring state.
+// Clients: the noc.deadlock rule (channel dependencies between links)
+// and the runtime manager's declared semaphore nesting
+// (kManagerLockNesting, checked in runtime_test). This header is the one
+// cycle search they share: an iterative three-colour DFS over a small
+// adjacency-list digraph that returns the first cycle found as an
+// explicit node sequence, so every caller can render "a -> b -> ... -> a"
+// without re-deriving it from colouring state.
 //
 // Header-only and dependency-light (no lint types) so low-level
 // libraries can use it without linking the rule engine.

@@ -3,16 +3,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
 
-#include "bitstream/relocate.hpp"
 #include "fleet/topology.hpp"
 #include "lint/cycle.hpp"
+#include "runtime/manager.hpp"
 #include "util/string_utils.hpp"
 
 namespace presp::lint {
@@ -89,6 +88,30 @@ bool valid_route(const RouteTable& table, const std::vector<int>& route,
     if (manhattan != 1) return false;
   }
   return true;
+}
+
+// ------------------------------------------------------- config rules
+
+/// True when some program reads `[section]`: SocConfig ([soc], [tiles]),
+/// hls/spec_io.cpp ([accelerator <name>]), presp-flow ([exec], [ops])
+/// and FleetTopology ([fleet]).
+bool known_section(const std::string& section) {
+  return section == "soc" || section == "tiles" || section == "exec" ||
+         section == "fleet" || section == "ops" ||
+         starts_with(section, "accelerator ");
+}
+
+void check_unknown_section(LintContext& ctx, DiagnosticEngine& engine) {
+  for (const auto& [section, line] : ctx.section_headers()) {
+    if (known_section(section)) continue;
+    engine.add({"config.unknown-section",
+                Severity::kWarning,
+                {ctx.file(), line, section},
+                "no tool reads section [" + section +
+                    "]: its keys are silently ignored",
+                "remove the section or fix its name (known: soc, tiles, "
+                "exec, fleet, ops, accelerator <name>)"});
+  }
 }
 
 // ------------------------------------------------------ netlist rules
@@ -362,57 +385,6 @@ void check_icap_unreachable(LintContext& ctx, DiagnosticEngine& engine) {
   }
 }
 
-void check_relocatable_footprint(LintContext& ctx,
-                                 DiagnosticEngine& engine) {
-  // Footprint compatibility only constrains the *runtime* repacker,
-  // which migrates modules across the static floorplan's regions. A
-  // design that never opted into repacking ([runtime] repack_* keys)
-  // loses nothing from per-region images, and the fleet repacker
-  // allocates its own uniform full-height regions per shard, so the
-  // static partitions don't bind it either.
-  if (!ctx.plan().repack_declared) return;
-  const auto& plan = ctx.floorplan();
-  const auto& device = ctx.device();
-  const auto& partitions = ctx.rtl().partitions();
-  // A module hosted by several partitions gets one partial bitstream per
-  // region — unless the regions share a column footprint, in which case
-  // a single relocatable image (frame-address rebasing) serves them all.
-  std::map<std::string, std::vector<std::size_t>> hosts;
-  for (std::size_t p = 0;
-       p < partitions.size() && p < plan.pblocks.size(); ++p) {
-    if (!on_fabric(device, plan.pblocks[p])) continue;
-    for (const std::string& module : partitions[p].modules)
-      hosts[module].push_back(p);
-  }
-  std::set<std::pair<std::size_t, std::size_t>> reported;
-  for (const auto& [module, where] : hosts) {
-    for (std::size_t i = 1; i < where.size(); ++i) {
-      const std::size_t a = where[0];
-      const std::size_t b = where[i];
-      if (bitstream::compatible_footprint(device, plan.pblocks[a],
-                                          plan.pblocks[b]))
-        continue;
-      if (!reported.insert({a, b}).second) continue;
-      engine.add({"floorplan.relocatable-footprint",
-                  Severity::kWarning,
-                  {ctx.file(), 0, "partition." + partitions[b].name},
-                  "module '" + module + "' is hosted by partitions '" +
-                      partitions[a].name + "' " +
-                      bitstream::footprint_signature(device, plan.pblocks[a])
-                          .to_string() +
-                      " and '" + partitions[b].name + "' " +
-                      bitstream::footprint_signature(device, plan.pblocks[b])
-                          .to_string() +
-                      " whose column footprints differ: its partial "
-                      "bitstream cannot be relocated between them and the "
-                      "repacker cannot migrate it",
-                  "size both pblocks over the same column-type sequence "
-                  "and clock-region height so one relocatable image "
-                  "serves every host region"});
-    }
-  }
-}
-
 // ---------------------------------------------------------- noc rules
 
 void check_noc_deadlock(LintContext& ctx, DiagnosticEngine& engine) {
@@ -507,169 +479,6 @@ void check_queue_gating(LintContext& ctx, DiagnosticEngine& engine) {
                     " lacks the DFX controller / ICAP wrapper pair",
                 "keep dfx_controller and icap_wrapper in the aux tile"});
   }
-}
-
-// ------------------------------------------------------ runtime rules
-
-void check_missing_bitstream(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  if (plan.threads.empty()) return;
-  const auto& manifest = ctx.manifest();
-  const auto& config = ctx.soc();
-  for (const auto& thread : plan.threads) {
-    for (const auto& chain : thread.chains) {
-      for (const auto& request : chain.requests) {
-        const auto it = manifest.find(request.tile);
-        const std::string key = tile_key(config, request.tile);
-        const SourceLoc loc{ctx.file(), thread.line,
-                            "runtime." + thread.name};
-        if (it == manifest.end()) {
-          engine.add({"runtime.missing-bitstream", Severity::kError, loc,
-                      thread.name + " requests module '" + request.module +
-                          "' on tile " + key +
-                          ", which hosts no reconfigurable partition",
-                      "target a reconf tile or add the tile to the "
-                      "[bitstreams] manifest"});
-          continue;
-        }
-        if (std::find(it->second.begin(), it->second.end(),
-                      request.module) != it->second.end())
-          continue;
-        engine.add({"runtime.missing-bitstream", Severity::kError, loc,
-                    thread.name + " requests module '" + request.module +
-                        "' on tile " + key +
-                        " but no partial bitstream for it is in the "
-                        "store manifest",
-                    "add '" + request.module +
-                        "' to the tile's member set or to the "
-                        "[bitstreams] manifest"});
-      }
-    }
-  }
-}
-
-void check_lock_order(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  const auto& config = ctx.soc();
-  struct Edge {
-    int dst;
-    const PlanThread* thread;
-  };
-  std::map<int, std::vector<Edge>> edges;
-  for (const auto& thread : plan.threads) {
-    for (const auto& chain : thread.chains) {
-      for (std::size_t i = 0; i < chain.requests.size(); ++i) {
-        for (std::size_t j = i + 1; j < chain.requests.size(); ++j) {
-          const int a = chain.requests[i].tile;
-          const int b = chain.requests[j].tile;
-          if (a == b) {
-            engine.add(
-                {"runtime.lock-order",
-                 Severity::kError,
-                 {ctx.file(), thread.line, "runtime." + thread.name},
-                 thread.name + " re-acquires the lock of tile " +
-                     tile_key(config, a) +
-                     " while still holding it (tile locks are not "
-                     "reentrant: the chain deadlocks itself)",
-                 "split the chain with ',' so the first request "
-                 "releases the tile before the second"});
-            continue;
-          }
-          edges[a].push_back({b, &thread});
-        }
-      }
-    }
-  }
-  // Cycle search shared with the noc.deadlock rule (lint/cycle.hpp):
-  // map tile ids onto dense vertices and look for one closed walk — a
-  // cycle means two threads can each hold a lock the other needs.
-  std::vector<int> tiles;
-  std::map<int, int> vertex_of;
-  auto vertex = [&](int tile) {
-    const auto [it, fresh] =
-        vertex_of.try_emplace(tile, static_cast<int>(tiles.size()));
-    if (fresh) tiles.push_back(tile);
-    return it->second;
-  };
-  for (const auto& [src, outs] : edges) {
-    vertex(src);
-    for (const Edge& e : outs) vertex(e.dst);
-  }
-  std::vector<std::vector<int>> adjacency(tiles.size());
-  for (const auto& [src, outs] : edges)
-    for (const Edge& e : outs)
-      adjacency[static_cast<std::size_t>(vertex_of[src])].push_back(
-          vertex_of[e.dst]);
-  const std::vector<int> walk = find_cycle(adjacency);
-  if (walk.empty()) return;
-  std::string cycle;
-  std::set<int> cycle_tiles;
-  for (std::size_t i = 0; i < walk.size(); ++i) {
-    const int tile = tiles[static_cast<std::size_t>(walk[i])];
-    if (i + 1 < walk.size()) cycle_tiles.insert(tile);
-    cycle += (cycle.empty() ? "" : " -> ") + tile_key(config, tile);
-  }
-  std::set<std::string> threads;
-  const PlanThread* anchor = nullptr;
-  for (const auto& [src, outs] : edges) {
-    if (cycle_tiles.count(src) == 0U) continue;
-    for (const Edge& e : outs)
-      if (cycle_tiles.count(e.dst) != 0U) {
-        threads.insert(e.thread->name);
-        if (anchor == nullptr) anchor = e.thread;
-      }
-  }
-  if (anchor == nullptr) return;
-  engine.add({"runtime.lock-order",
-              Severity::kWarning,
-              {ctx.file(), anchor->line, "runtime." + anchor->name},
-              "tile locks are acquired in conflicting orders "
-              "across threads (" +
-                  join({threads.begin(), threads.end()}, ", ") +
-                  "): potential deadlock cycle " + cycle,
-              "acquire tile locks in one global order (e.g. "
-              "ascending tile index) in every thread"});
-}
-
-void check_retry_budget(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  if (!plan.declared) return;
-  const int line = ctx.line_of_section("runtime");
-  const SourceLoc loc{ctx.file(), line, "runtime"};
-  if (plan.retry_budget < 1)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "retry_budget " + std::to_string(plan.retry_budget) +
-                    " disables watchdog recovery: the first hang "
-                    "quarantines the tile",
-                "set retry_budget to at least 1"});
-  if (plan.max_attempts < 1)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "max_attempts " + std::to_string(plan.max_attempts) +
-                    " prevents any reconfiguration attempt",
-                "set max_attempts to at least 1"});
-  if (plan.backoff_base_cycles <= 0)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "backoff_base_cycles " +
-                    std::to_string(plan.backoff_base_cycles) +
-                    " disables exponential backoff (hot retry loop)",
-                "use a positive backoff base (default 10000 cycles)"});
-  else if (plan.retry_budget > 1) {
-    const int base_bits = std::bit_width(
-        static_cast<unsigned long long>(plan.backoff_base_cycles));
-    if (base_bits + plan.retry_budget - 1 > 62)
-      engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                  "backoff_base_cycles << (retry_budget - 1) overflows: "
-                  "the last retry's backoff wraps negative",
-                  "lower retry_budget or backoff_base_cycles so the "
-                  "shifted backoff stays below 2^62 cycles"});
-  }
-  if (plan.watchdog_reconf_margin < 1.0)
-    engine.add({"runtime.retry-budget", Severity::kWarning, loc,
-                "watchdog_reconf_margin " +
-                    std::to_string(plan.watchdog_reconf_margin) +
-                    " arms the watchdog below the nominal ICAP streaming "
-                    "time: healthy reconfigurations will fire it",
-                "use a margin of at least 1.0 (default 8.0)"});
 }
 
 // -------------------------------------------------------- fleet rules
@@ -843,40 +652,6 @@ void check_fleet_breaker(LintContext& ctx, DiagnosticEngine& engine) {
 }
 
 void check_repacker_bounds(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& plan = ctx.plan();
-  // [runtime] repack_* knobs (runtime::RepackerOptions).
-  if (plan.declared && plan.repack_declared) {
-    const SourceLoc loc{ctx.file(), ctx.line_of_section("runtime"),
-                        "runtime"};
-    if (plan.repack_interval_cycles <= 0)
-      engine.add({"runtime.repacker-bounds", Severity::kError, loc,
-                  "repack_interval_cycles " +
-                      std::to_string(plan.repack_interval_cycles) +
-                      " makes the repacker spin every cycle, starving the "
-                      "DFXC request path",
-                  "use a positive interval (default 2000000 cycles)"});
-    if (plan.repack_max_migrations < 1)
-      engine.add({"runtime.repacker-bounds", Severity::kError, loc,
-                  "repack_max_migrations " +
-                      std::to_string(plan.repack_max_migrations) +
-                      " means a pass can never migrate anything",
-                  "allow at least one migration per pass"});
-    if (plan.repack_migration_budget < 1)
-      engine.add({"runtime.repacker-bounds", Severity::kError, loc,
-                  "repack_migration_budget " +
-                      std::to_string(plan.repack_migration_budget) +
-                      " aborts every pass before its first migration",
-                  "use a positive migration budget"});
-    else if (plan.repack_migration_budget > plan.retry_budget)
-      engine.add({"runtime.repacker-bounds", Severity::kWarning, loc,
-                  "repack_migration_budget " +
-                      std::to_string(plan.repack_migration_budget) +
-                      " exceeds retry_budget " +
-                      std::to_string(plan.retry_budget) +
-                      ": background compaction out-retries the foreground "
-                      "request path",
-                  "keep the migration budget at or below retry_budget"});
-  }
   // [fleet] repack knobs (per-shard repackers). Malformed sections are
   // fleet.topology's diagnostic; stay silent on them here.
   if (ctx.line_of_section("fleet") == 0) return;
@@ -887,6 +662,9 @@ void check_repacker_bounds(LintContext& ctx, DiagnosticEngine& engine) {
     return;
   }
   if (!topo->repack) return;
+  // No config key sets the shard managers' retry budget: it is
+  // ManagerOptions' default.
+  const int retry_budget = runtime::ManagerOptions{}.retry_budget;
   if (topo->repack_interval_cycles <= 0)
     engine.add({"runtime.repacker-bounds", Severity::kError,
                 fleet_loc(ctx, "repack_interval_cycles"),
@@ -918,13 +696,13 @@ void check_repacker_bounds(LintContext& ctx, DiagnosticEngine& engine) {
                     std::to_string(topo->repack_migration_budget) +
                     " aborts every pass before its first migration",
                 "use a positive migration budget"});
-  else if (topo->repack_migration_budget > plan.retry_budget)
+  else if (topo->repack_migration_budget > retry_budget)
     engine.add({"runtime.repacker-bounds", Severity::kWarning,
                 fleet_loc(ctx, "repack_migration_budget"),
                 "repack_migration_budget " +
                     std::to_string(topo->repack_migration_budget) +
                     " exceeds the runtime retry_budget " +
-                    std::to_string(plan.retry_budget) +
+                    std::to_string(retry_budget) +
                     ": background compaction out-retries the foreground "
                     "request path",
                 "keep the migration budget at or below retry_budget"});
@@ -1061,105 +839,6 @@ void check_ops_disabled_by_default(LintContext& ctx,
 
 // --------------------------------------------------------- exec rules
 
-void check_undefined_dep(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& graph = ctx.task_graph();
-  for (const auto& task : graph.tasks) {
-    for (const std::string& dep : task.deps) {
-      if (graph.find(dep) != nullptr) continue;
-      engine.add({"exec.undefined-dep",
-                  Severity::kError,
-                  {ctx.file(), task.line, "tasks." + task.name},
-                  "task '" + task.name + "' depends on undefined task '" +
-                      dep + "'",
-                  "declare the dependency in [tasks] or drop it"});
-    }
-  }
-}
-
-/// Tasks that sit on a dependency cycle (can reach themselves).
-std::set<std::string> cycle_members(const TaskGraphSpec& graph) {
-  std::set<std::string> members;
-  for (const auto& task : graph.tasks) {
-    // DFS from task over deps; if we reach task again it is on a cycle.
-    std::vector<const TaskSpec*> work;
-    std::set<std::string> visited;
-    const TaskSpec* start = &task;
-    work.push_back(start);
-    bool cyclic = false;
-    while (!work.empty() && !cyclic) {
-      const TaskSpec* cur = work.back();
-      work.pop_back();
-      for (const std::string& dep : cur->deps) {
-        if (dep == start->name) {
-          cyclic = true;
-          break;
-        }
-        if (!visited.insert(dep).second) continue;
-        if (const TaskSpec* next = graph.find(dep)) work.push_back(next);
-      }
-    }
-    if (cyclic) members.insert(task.name);
-  }
-  return members;
-}
-
-void check_graph_cycle(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& graph = ctx.task_graph();
-  const auto members = cycle_members(graph);
-  if (members.empty()) return;
-  const TaskSpec* anchor = graph.find(*members.begin());
-  engine.add({"exec.graph-cycle",
-              Severity::kError,
-              {ctx.file(), anchor != nullptr ? anchor->line : 0,
-               "tasks." + *members.begin()},
-              "task graph has a dependency cycle among {" +
-                  join({members.begin(), members.end()}, ", ") +
-                  "}: none of these tasks can ever start",
-              "break the cycle; TaskGraph::add only accepts "
-              "already-added dependencies"});
-}
-
-void check_unreachable_task(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto& graph = ctx.task_graph();
-  if (graph.tasks.empty()) return;
-  const auto members = cycle_members(graph);
-  // Fixpoint: a task is runnable when every dep exists and is runnable.
-  std::set<std::string> runnable;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& task : graph.tasks) {
-      if (runnable.count(task.name) != 0U) continue;
-      bool ready = true;
-      for (const std::string& dep : task.deps) {
-        if (graph.find(dep) == nullptr || runnable.count(dep) == 0U) {
-          ready = false;
-          break;
-        }
-      }
-      if (ready) {
-        runnable.insert(task.name);
-        changed = true;
-      }
-    }
-  }
-  for (const auto& task : graph.tasks) {
-    if (runnable.count(task.name) != 0U) continue;
-    if (members.count(task.name) != 0U) continue;  // flagged as cycle
-    bool direct_undefined = false;
-    for (const std::string& dep : task.deps)
-      direct_undefined |= graph.find(dep) == nullptr;
-    if (direct_undefined) continue;  // flagged as undefined-dep
-    engine.add({"exec.unreachable-task",
-                Severity::kWarning,
-                {ctx.file(), task.line, "tasks." + task.name},
-                "task '" + task.name +
-                    "' can never become ready: it depends (transitively) "
-                    "on a cycle or an undefined task",
-                "fix the upstream dependency problem"});
-  }
-}
-
 /// Nearest existing ancestor of `path` (the path itself when it exists).
 std::filesystem::path nearest_existing(std::filesystem::path path) {
   std::error_code ec;
@@ -1255,9 +934,6 @@ void check_exec_cache_size_bounds(LintContext& ctx,
 void force_parse(LintContext& ctx, DiagnosticEngine&) {
   ctx.soc();
   ctx.library();
-  ctx.plan();
-  ctx.task_graph();
-  ctx.manifest();
 }
 
 void force_device(LintContext& ctx, DiagnosticEngine&) { ctx.device(); }
@@ -1326,6 +1002,11 @@ const RuleRegistry& RuleRegistry::builtin() {
            "the target device names a supported board model",
            Severity::kError},
           force_device);
+    r.add({"config.unknown-section", "config",
+           "every section is one a tool reads (soc, tiles, exec, fleet, "
+           "ops, accelerator <name>)",
+           Severity::kWarning},
+          check_unknown_section);
     // netlist
     r.add({"netlist.unknown-accelerator", "netlist",
            "every referenced accelerator exists in the fabric library",
@@ -1370,11 +1051,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            "ICAP/DFXC aux tile",
            Severity::kError},
           check_icap_unreachable);
-    r.add({"floorplan.relocatable-footprint", "floorplan",
-           "partitions sharing a module have footprint-compatible "
-           "pblocks so one relocatable bitstream serves them",
-           Severity::kWarning},
-          check_relocatable_footprint);
     // noc
     r.add({"noc.deadlock", "noc",
            "the route function's channel dependency graph is acyclic "
@@ -1387,20 +1063,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            Severity::kError},
           check_queue_gating);
     // runtime
-    r.add({"runtime.missing-bitstream", "runtime",
-           "every planned reconfiguration has a partial bitstream in "
-           "the store manifest",
-           Severity::kError},
-          check_missing_bitstream);
-    r.add({"runtime.lock-order", "runtime",
-           "tile locks are acquired in a consistent global order "
-           "(no deadlock cycles across request chains)",
-           Severity::kWarning},
-          check_lock_order);
-    r.add({"runtime.retry-budget", "runtime",
-           "watchdog retry budget and backoff tuning are sane",
-           Severity::kWarning},
-          check_retry_budget);
     r.add({"runtime.repacker-bounds", "runtime",
            "defragmentation repacker interval, migration caps and budget "
            "are sane and defer to the foreground retry budget",
@@ -1444,17 +1106,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            Severity::kWarning},
           check_ops_disabled_by_default);
     // exec
-    r.add({"exec.undefined-dep", "exec",
-           "task-graph dependencies name declared tasks",
-           Severity::kError},
-          check_undefined_dep);
-    r.add({"exec.graph-cycle", "exec",
-           "the task graph is acyclic (submittable to TaskGraph)",
-           Severity::kError},
-          check_graph_cycle);
-    r.add({"exec.unreachable-task", "exec",
-           "every task can eventually become ready", Severity::kWarning},
-          check_unreachable_task);
     r.add({"exec.cache-dir-writable", "exec",
            "[exec] cache_dir points at a creatable, writable directory",
            Severity::kError},

@@ -7,21 +7,20 @@
 // catalog-only entries so one registry documents the complete rule set.
 //
 // The built-in catalog spans the stack (see DESIGN.md §10):
-//   config    parse/validate failures, unknown target device
+//   config    parse/validate failures, unknown target device, sections
+//             no tool reads
 //   netlist   unknown accelerators, duplicate partition members,
 //             dangling nets, interface width mismatches
 //   floorplan pblock overlap, capacity, member footprint, illegal
 //             columns, ICAP reachability, infeasibility
 //   noc       route-function deadlock freedom (channel dependency
 //             graph), decoupler/queue gating coverage
-//   runtime   bitstream manifest coverage, lock-acquisition ordering,
-//             retry/backoff tuning
+//   runtime   [fleet] repacker interval, migration caps and budget
 //   fleet     [fleet] topology sanity, QoS class weights and queue
 //             bounds, circuit-breaker tuning
 //   ops       [ops] telemetry-server port/bind sanity, SSE buffer
 //             bounds, disabled-by-default check
-//   exec      task-graph cycles, undefined dependencies, unreachable
-//             tasks
+//   exec      [exec] flow-cache directory and size budget
 //   pnr       placement legality (emitted by pnr::verify_placement)
 #pragma once
 

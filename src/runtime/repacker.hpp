@@ -33,8 +33,8 @@ namespace presp::runtime {
 
 struct RepackerOptions {
   /// Cycles between repack passes. Must be positive (presp-lint
-  /// runtime.repacker-bounds rejects 0: a zero interval starves the
-  /// request path).
+  /// runtime.repacker-bounds rejects a zero [fleet]
+  /// repack_interval_cycles: a zero interval starves the request path).
   long long interval_cycles = 2'000'000;
   /// Fragmentation ratio above which a pass migrates (<= means skip).
   double frag_threshold = 0.05;
@@ -42,8 +42,9 @@ struct RepackerOptions {
   /// stolen from foreground requests).
   int max_migrations_per_pass = 4;
   /// Consecutive failed/aborted migrations tolerated per pass before the
-  /// pass gives up. presp-lint warns when this exceeds the manager's
-  /// retry budget (the repacker would out-retry the request path).
+  /// pass gives up. presp-lint warns when [fleet]
+  /// repack_migration_budget exceeds the manager's retry budget (the
+  /// repacker would out-retry the request path).
   int migration_budget = 2;
   /// Gauge prefix for the published fragmentation metrics.
   std::string metrics_prefix = "floorplan";

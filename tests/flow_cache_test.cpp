@@ -247,6 +247,10 @@ TEST(FlowCacheTest, FlippedRleLiteralFailsTheCrcCheck) {
 
   FlowCache reopened(opt);
   EXPECT_FALSE(reopened.load_module(11).has_value());
+  // The blob verified but its payload failed to decode: a miss, never
+  // also a hit.
+  EXPECT_EQ(reopened.stats().hits, 0u);
+  EXPECT_EQ(reopened.stats().misses, 1u);
   EXPECT_EQ(reopened.stats().poisoned, 1u);
   EXPECT_FALSE(fs::exists(victim));  // rejected entries are deleted
 }

@@ -109,8 +109,9 @@ TEST(ReporterTest, JsonRoundTrips) {
   const std::vector<Diagnostic> diags{
       {"config.parse", Severity::kError, {"x \"y\"\n.cfg", 12, "tiles.r0c0"},
        "message with \"quotes\", a\ttab and a \x01 control byte", "fix\nit"},
-      {"runtime.retry-budget", Severity::kWarning, {"", 0, ""}, "plain", ""},
-      {"exec.unreachable-task", Severity::kInfo, {"f", 1, "tasks.a"}, "m",
+      {"config.unknown-section", Severity::kWarning, {"", 0, ""}, "plain",
+       ""},
+      {"exec.cache-size-bounds", Severity::kInfo, {"f", 1, "exec"}, "m",
        "h"}};
   const std::string json = lint::render_json(diags);
   EXPECT_NE(json.find(R"("file": "x \"y\"\n.cfg")"), std::string::npos);
@@ -181,7 +182,7 @@ TEST(ConfigLintTest, GarbageTextIsAParseDiagnostic) {
 
 TEST(ConfigLintTest, TruncatedConfigNeverCrashes) {
   std::ifstream in(std::string(PRESP_SOURCE_DIR) +
-                   "/examples/configs/custom_runtime.esp_config");
+                   "/examples/configs/custom_accelerator.esp_config");
   ASSERT_TRUE(in);
   std::ostringstream text;
   text << in.rdbuf();
@@ -220,6 +221,29 @@ TEST(ConfigLintTest, NonPositiveClockIsRejected) {
       "[soc]\nrows = 1\ncols = 3\nclock_mhz = -78\n[tiles]\nr0c0 = cpu\n"
       "r0c1 = mem\nr0c2 = aux\n");
   EXPECT_TRUE(has_rule(diags, "config.parse"));
+}
+
+TEST(ConfigLintTest, SectionsNoToolReadsWarnAtTheirHeader) {
+  // kCleanSoc ends on line 13; each appended header lands on line 15.
+  // An empty header counts too, and so does a misspelled [fleet].
+  for (const char* section : {"runtime", "bitstreams", "tasks", "flet"}) {
+    for (const char* body : {"", "key = 1\n"}) {
+      const auto diags = run_lint(std::string(kCleanSoc) + "\n[" + section +
+                                  "]\n" + body);
+      ASSERT_EQ(diags.size(), 1u) << section << ": "
+                                  << lint::render_text(diags);
+      EXPECT_EQ(diags[0].rule, "config.unknown-section");
+      EXPECT_EQ(diags[0].severity, Severity::kWarning);
+      EXPECT_EQ(diags[0].loc.line, 15) << section;
+      EXPECT_NE(diags[0].message.find(std::string("[") + section + "]"),
+                std::string::npos);
+    }
+  }
+  // Every section a tool reads stays silent, custom kernels included;
+  // ShippedDesignsTest.EveryExampleConfigIsClean covers the examples.
+  EXPECT_TRUE(run_lint(std::string(kCleanSoc) +
+                       "\n[accelerator my_kernel]\n[exec]\n[fleet]\n[ops]\n")
+                  .empty());
 }
 
 TEST(ConfigLintTest, UnknownDeviceHasItsOwnRule) {
@@ -377,87 +401,6 @@ TEST(FloorplanLintTest, IcapUnreachableOnBrokenRoutes) {
     }
 }
 
-// Two reconfigurable tiles sharing the conv2d module, with the runtime
-// repacker opted in: relocation compatibility between their regions
-// becomes meaningful (the rule is silent without repack_* keys — a
-// design that never migrates loses nothing from per-region images).
-const char* kSharedModuleSoc = R"([soc]
-name = shared
-device = vc707
-rows = 2
-cols = 3
-
-[tiles]
-r0c0 = cpu
-r0c1 = mem
-r0c2 = aux
-r1c0 = reconf:conv2d,gemm
-r1c1 = reconf:conv2d,fft
-r1c2 = empty
-
-[runtime]
-repack_interval_cycles = 2000000
-repack_frag_threshold = 0.25
-)";
-
-TEST(FloorplanLintTest, RelocatableFootprintWarnsOnIncompatibleHosts) {
-  LintContext context(kSharedModuleSoc);
-  floorplan::Floorplan plan;
-  // Same module, two host regions with different heights: no single
-  // partial bitstream can be rebased between them.
-  plan.pblocks = {{2, 3, 0, 0}, {2, 3, 0, 1}};
-  context.override_floorplan(
-      plan, {{"RT_1", {100, 0, 0, 0}}, {"RT_2", {100, 0, 0, 0}}});
-  const auto diags = run_context(context);
-  ASSERT_TRUE(has_rule(diags, "floorplan.relocatable-footprint"));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "floorplan.relocatable-footprint") {
-      EXPECT_EQ(d.severity, Severity::kWarning);
-      // The message names both footprint signatures.
-      EXPECT_NE(d.message.find("h1:"), std::string::npos);
-      EXPECT_NE(d.message.find("h2:"), std::string::npos);
-    }
-}
-
-TEST(FloorplanLintTest, RelocatableFootprintSilentOnCompatibleHosts) {
-  LintContext context(kSharedModuleSoc);
-  floorplan::Floorplan plan;
-  // Identical column window on different region rows: one relocatable
-  // image serves both hosts.
-  plan.pblocks = {{2, 3, 0, 0}, {2, 3, 1, 1}};
-  context.override_floorplan(
-      plan, {{"RT_1", {100, 0, 0, 0}}, {"RT_2", {100, 0, 0, 0}}});
-  const auto diags = run_context(context);
-  EXPECT_FALSE(has_rule(diags, "floorplan.relocatable-footprint"));
-}
-
-TEST(FloorplanLintTest, RelocatableFootprintNeedsASharedModule) {
-  // kCleanSoc's tiles host disjoint module sets: nothing to relocate.
-  LintContext context(kCleanSoc);
-  floorplan::Floorplan plan;
-  plan.pblocks = {{2, 3, 0, 0}, {2, 3, 0, 1}};
-  context.override_floorplan(
-      plan, {{"RT_1", {100, 0, 0, 0}}, {"RT_2", {100, 0, 0, 0}}});
-  EXPECT_FALSE(
-      has_rule(run_context(context), "floorplan.relocatable-footprint"));
-}
-
-TEST(FloorplanLintTest, RelocatableFootprintNeedsTheRepackerOptIn) {
-  // Same incompatible hosts as the warning case, but no [runtime]
-  // repack_* keys: without a repacker nothing ever relocates, so
-  // per-region images are fine and the rule must stay silent.
-  const std::string no_repack(
-      kSharedModuleSoc,
-      std::string(kSharedModuleSoc).find("\n[runtime]"));
-  LintContext context(no_repack);
-  floorplan::Floorplan plan;
-  plan.pblocks = {{2, 3, 0, 0}, {2, 3, 0, 1}};
-  context.override_floorplan(
-      plan, {{"RT_1", {100, 0, 0, 0}}, {"RT_2", {100, 0, 0, 0}}});
-  EXPECT_FALSE(
-      has_rule(run_context(context), "floorplan.relocatable-footprint"));
-}
-
 // ---------------------------------------------------- shared cycle DFS
 
 TEST(CycleTest, FindsClosedWalkAndHandlesAcyclic) {
@@ -549,86 +492,6 @@ TEST(NocLintTest, MissingDecouplerBreaksQueueGating) {
   }
   const auto diags = run_context(context);
   ASSERT_TRUE(has_rule(diags, "noc.queue-gating"));
-}
-
-// ------------------------------------------------------ runtime rules
-
-std::string with_runtime(const std::string& section) {
-  return std::string(kCleanSoc) + "\n[runtime]\n" + section;
-}
-
-TEST(RuntimeLintTest, WellFormedPlanIsClean) {
-  const std::string text = with_runtime(
-      "thread_a = r1c0:conv2d, r1c0:gemm\nthread_b = r1c1:fft\n");
-  EXPECT_TRUE(run_lint(text).empty());
-}
-
-TEST(RuntimeLintTest, MissingBitstreamInManifest) {
-  const auto diags =
-      run_lint(with_runtime("thread_a = r1c0:fft\n"));  // fft lives on r1c1
-  ASSERT_TRUE(has_rule(diags, "runtime.missing-bitstream"));
-}
-
-TEST(RuntimeLintTest, RequestOnNonReconfigurableTile) {
-  const auto diags = run_lint(with_runtime("thread_a = r0c1:conv2d\n"));
-  EXPECT_TRUE(has_rule(diags, "runtime.missing-bitstream"));
-}
-
-TEST(RuntimeLintTest, ExplicitManifestOverridesMemberSets) {
-  const auto diags = run_lint(with_runtime("thread_a = r1c0:conv2d\n") +
-                              "\n[bitstreams]\nr1c0 = gemm\n");
-  EXPECT_TRUE(has_rule(diags, "runtime.missing-bitstream"));
-}
-
-TEST(RuntimeLintTest, ChainReacquiringSameTileIsSelfDeadlock) {
-  const auto diags =
-      run_lint(with_runtime("thread_a = r1c0:conv2d + r1c0:gemm\n"));
-  ASSERT_TRUE(has_rule(diags, "runtime.lock-order"));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "runtime.lock-order") {
-      EXPECT_EQ(d.severity, Severity::kError);
-    }
-}
-
-TEST(RuntimeLintTest, ConflictingLockOrderAcrossThreads) {
-  const auto diags = run_lint(with_runtime(
-      "thread_a = r1c0:conv2d + r1c1:fft\n"
-      "thread_b = r1c1:sort + r1c0:gemm\n"));
-  ASSERT_TRUE(has_rule(diags, "runtime.lock-order"));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "runtime.lock-order") {
-      EXPECT_EQ(d.severity, Severity::kWarning);
-    }
-}
-
-TEST(RuntimeLintTest, ConsistentLockOrderIsClean) {
-  const auto diags = run_lint(with_runtime(
-      "thread_a = r1c0:conv2d + r1c1:fft\n"
-      "thread_b = r1c0:gemm + r1c1:sort\n"));
-  EXPECT_FALSE(has_rule(diags, "runtime.lock-order"));
-}
-
-TEST(RuntimeLintTest, RepackerBoundsInRuntimeSection) {
-  const auto spin = run_lint(with_runtime(
-      "thread_a = r1c0:conv2d\nrepack_interval_cycles = 0\n"));
-  ASSERT_TRUE(has_rule(spin, "runtime.repacker-bounds"));
-  EXPECT_TRUE(has_error(spin));
-
-  // Budget above the foreground retry budget: warning, not error.
-  const auto budget = run_lint(with_runtime(
-      "thread_a = r1c0:conv2d\nretry_budget = 2\n"
-      "repack_migration_budget = 5\n"));
-  ASSERT_TRUE(has_rule(budget, "runtime.repacker-bounds"));
-  EXPECT_FALSE(has_error(budget));
-
-  const auto clean = run_lint(with_runtime(
-      "thread_a = r1c0:conv2d\nrepack_interval_cycles = 2000000\n"
-      "repack_migration_budget = 2\n"));
-  EXPECT_FALSE(has_rule(clean, "runtime.repacker-bounds"));
-
-  // No repack_* keys at all: the rule stays silent.
-  const auto absent = run_lint(with_runtime("thread_a = r1c0:conv2d\n"));
-  EXPECT_FALSE(has_rule(absent, "runtime.repacker-bounds"));
 }
 
 // ------------------------------------------------------- fleet rules
@@ -818,75 +681,6 @@ TEST(OpsLintTest, DisabledSectionAndOffLoopbackBindWarn) {
   const auto malformed = run_lint(with_ops("enabled = maybe\n"));
   ASSERT_TRUE(has_rule(malformed, "ops.disabled-by-default"));
   EXPECT_TRUE(has_error(malformed));
-}
-
-TEST(RuntimeLintTest, RetryBudgetMisconfigurations) {
-  const auto zero = run_lint(with_runtime("retry_budget = 0\n"));
-  EXPECT_TRUE(has_rule(zero, "runtime.retry-budget"));
-
-  const auto overflow = run_lint(with_runtime(
-      "retry_budget = 80\nbackoff_base_cycles = 1000000000\n"));
-  EXPECT_TRUE(has_rule(overflow, "runtime.retry-budget"));
-
-  const auto margin =
-      run_lint(with_runtime("watchdog_reconf_margin = 0.5\n"));
-  EXPECT_TRUE(has_rule(margin, "runtime.retry-budget"));
-
-  const auto sane = run_lint(with_runtime(
-      "retry_budget = 3\nmax_attempts = 3\nbackoff_base_cycles = 10000\n"
-      "watchdog_reconf_margin = 8.0\n"));
-  EXPECT_FALSE(has_rule(sane, "runtime.retry-budget"));
-}
-
-TEST(RuntimeLintTest, StoreCacheKeysAreUnknown) {
-  // The store has a single residency policy (every image copied into
-  // kernel DRAM up front), so the old cache-sizing key is a parse error.
-  // Spelled in two pieces so that searching the tree for the removed key
-  // comes back empty.
-  const std::string key = std::string("store_cache") + "_slots";
-  const auto diags = run_lint(with_runtime(key + " = 2\n"));
-  ASSERT_TRUE(has_rule(diags, "config.parse"));
-  bool named = false;
-  for (const Diagnostic& d : diags)
-    if (d.rule == "config.parse" &&
-        d.message.find("unknown [runtime] key '" + key + "'") !=
-            std::string::npos)
-      named = true;
-  EXPECT_TRUE(named);
-}
-
-// --------------------------------------------------------- exec rules
-
-std::string with_tasks(const std::string& section) {
-  return std::string(kCleanSoc) + "\n[tasks]\n" + section;
-}
-
-TEST(ExecLintTest, AcyclicTaskGraphIsClean) {
-  const auto diags =
-      run_lint(with_tasks("a =\nb = a\nc = a, b\n"));
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(ExecLintTest, UndefinedDependency) {
-  const auto diags = run_lint(with_tasks("a =\nb = a, ghost\n"));
-  ASSERT_TRUE(has_rule(diags, "exec.undefined-dep"));
-  EXPECT_FALSE(has_rule(diags, "exec.graph-cycle"));
-}
-
-TEST(ExecLintTest, DependencyCycle) {
-  const auto diags = run_lint(with_tasks("a = b\nb = a\n"));
-  EXPECT_TRUE(has_rule(diags, "exec.graph-cycle"));
-}
-
-TEST(ExecLintTest, TaskDownstreamOfCycleIsUnreachable) {
-  const auto diags = run_lint(with_tasks("a = b\nb = a\nc = a\n"));
-  EXPECT_TRUE(has_rule(diags, "exec.graph-cycle"));
-  ASSERT_TRUE(has_rule(diags, "exec.unreachable-task"));
-  for (const Diagnostic& d : diags)
-    if (d.rule == "exec.unreachable-task") {
-      EXPECT_EQ(d.loc.object, "tasks.c");
-      EXPECT_EQ(d.severity, Severity::kWarning);
-    }
 }
 
 std::string with_exec(const std::string& section) {

@@ -3,9 +3,10 @@
 # share one entry point:
 #
 #   build      full plain build + the complete ctest suite
-#   lint       presp-lint must report zero errors on every shipped
-#              examples/configs/*.esp_config (the designs double as the
-#              lint suite's clean fixtures)
+#   lint       presp-lint --werror must report zero errors and zero
+#              warnings on every shipped examples/configs/*.esp_config
+#              (the designs double as the lint suite's clean fixtures),
+#              so a section no tool reads fails the stage
 #   trace      trace smoke: presp-flow runs a shipped example with
 #              --trace and the Chrome JSON must summarize through
 #              presp-trace with zero dropped events
@@ -87,9 +88,10 @@ stage_lint() {
   }
   # Rule rows are "<layer>.<name> ..."; skips the header and footer lines.
   lint_rules=$("$LINT_BIN" --list-rules | grep -c '^[a-z]*\.')
-  lint_out=$("$LINT_BIN" examples/configs/*.esp_config) || {
+  lint_out=$("$LINT_BIN" --werror examples/configs/*.esp_config) || {
     echo "$lint_out"
-    echo "tier-1: presp-lint reported errors on the shipped examples" >&2
+    echo "tier-1: presp-lint reported errors or warnings on the shipped" \
+      "examples" >&2
     return 1
   }
   lint_summary=$(printf '%s\n' "$lint_out" | tail -n 1)
