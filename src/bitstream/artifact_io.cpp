@@ -49,9 +49,7 @@ std::string pbs_filename(const std::string& design,
   return design + "_" + partition + "_" + module + ".pbs";
 }
 
-void write_bitstream(const Bitstream& bitstream,
-                     const std::vector<std::uint32_t>& rle,
-                     const std::string& path) {
+void write_bitstream(const Bitstream& bitstream, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out)
     throw InvalidArgument("cannot write bitstream to '" + path + "'");
@@ -64,15 +62,11 @@ void write_bitstream(const Bitstream& bitstream,
   put<std::int32_t>(out, bitstream.pblock.row_lo);
   put<std::int32_t>(out, bitstream.pblock.row_hi);
   put<std::uint32_t>(out, bitstream.crc);
-  put<std::uint64_t>(out, bitstream.words.size());
-  put<std::uint64_t>(out, rle.size());
-  out.write(reinterpret_cast<const char*>(rle.data()),
-            static_cast<std::streamsize>(rle.size() * 4));
+  put<std::uint64_t>(out, bitstream.word_count);
+  put<std::uint64_t>(out, bitstream.rle.size());
+  out.write(reinterpret_cast<const char*>(bitstream.rle.data()),
+            static_cast<std::streamsize>(bitstream.rle.size() * 4));
   if (!out) throw InvalidArgument("write to '" + path + "' failed");
-}
-
-void write_bitstream(const Bitstream& bitstream, const std::string& path) {
-  write_bitstream(bitstream, rle_compress(bitstream.words), path);
 }
 
 Bitstream read_bitstream(const std::string& path) {
@@ -106,16 +100,16 @@ Bitstream read_bitstream(const std::string& path) {
   if (compressed_count > 2 * word_count)
     throw InvalidArgument("RLE stream longer than its payload in '" + path +
                           "'");
-  std::vector<std::uint32_t> compressed(
-      static_cast<std::size_t>(compressed_count));
-  in.read(reinterpret_cast<char*>(compressed.data()),
+  bs.rle.resize(static_cast<std::size_t>(compressed_count));
+  in.read(reinterpret_cast<char*>(bs.rle.data()),
           static_cast<std::streamsize>(compressed_count) * 4);
   if (!in) throw InvalidArgument("truncated bitstream payload");
-  RleDecoded decoded = rle_decode(compressed, word_count);
+  RleDecoded decoded = rle_decode(bs.rle, word_count);
   if (decoded.words.size() != word_count)
     throw InvalidArgument("bitstream payload length mismatch");
   if (decoded.crc != bs.crc)
     throw Error("bitstream CRC mismatch in '" + path + "'");
+  bs.word_count = word_count;
   bs.words = std::move(decoded.words);
   return bs;
 }

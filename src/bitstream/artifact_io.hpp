@@ -7,33 +7,28 @@
 //   i32 col_lo, col_hi, row_lo, row_hi
 //   u32 crc | u64 word_count | u64 compressed_count
 //   compressed words (RLE stream; see bitstream.hpp)
-// `crc` is crc32 of the decoded words; the PFC1 module payload below
-// stores the same stream and CRC.
+// The fields after the pblock are the Bitstream's own `crc`, `word_count`
+// and `rle`: writing never compresses or decodes. `crc` is crc32 of the
+// decoded words; the PFC1 module payload below stores the same stream and
+// CRC.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bitstream/bitstream.hpp"
 
 namespace presp::bitstream {
 
-/// Writes the bitstream to `path` with `rle` (which must be
-/// `rle_compress(bitstream.words)`) as its payload, so a caller that
-/// already holds the stream does not compress twice. Throws
-/// InvalidArgument on I/O errors.
-void write_bitstream(const Bitstream& bitstream,
-                     const std::vector<std::uint32_t>& rle,
-                     const std::string& path);
-/// Compresses the words and writes them as above.
+/// Writes the bitstream's stream (`rle`, `word_count`, `crc`) to `path`.
+/// Throws InvalidArgument on I/O errors.
 void write_bitstream(const Bitstream& bitstream, const std::string& path);
 
-/// Reads a bitstream file back: decodes the payload with rle_decode (one
-/// pass, its CRC computed alongside), restores the metadata and checks
-/// that CRC against the stored one, so the check covers the decode and not
-/// just the bytes on disk. Throws InvalidArgument on malformed files and
-/// Error on CRC mismatch.
+/// Reads a bitstream file back, decoded: fills `rle`, `word_count` and
+/// `words` with rle_decode (whose rle_check pass computes the CRC),
+/// restores the metadata and checks that CRC against the stored one, so
+/// the check covers the decode and not just the bytes on disk. Throws
+/// InvalidArgument on malformed files and Error on CRC mismatch.
 Bitstream read_bitstream(const std::string& path);
 
 /// Canonical artifact file name for a partial bitstream.

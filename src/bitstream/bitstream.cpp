@@ -65,6 +65,61 @@ constexpr ZeroTables make_zero_tables() {
 
 constexpr ZeroTables kZeroTables = make_zero_tables();
 
+/// Advances a CRC register over `run` zero words: one zero-table lookup
+/// group per set bit of the run length.
+std::uint32_t advance_zero_run(std::uint32_t crc, std::uint32_t run) {
+  for (std::size_t k = 0; run != 0; ++k, run >>= 1)
+    if (run & 1u) crc = advance_zeros(kZeroTables[k], crc);
+  return crc;
+}
+
+/// Writes an RLE stream word by word, with its word count and CRC. A
+/// literal goes straight to the stream; a zero only lengthens a pending run,
+/// which is written (in pieces of at most 0xFFFFFFFF, as rle_compress
+/// splits it) when the next literal or the end arrives.
+class RleEmitter {
+ public:
+  explicit RleEmitter(std::vector<std::uint32_t>& stream) : stream_(stream) {}
+
+  void literal(std::uint32_t word) {
+    flush();
+    stream_.push_back(word);
+    crc_ = crc_word(crc_, word);
+    ++words_;
+  }
+  void zero() { ++pending_; }
+
+  /// Flushes the pending run and returns {word count, CRC}.
+  RleCheck finish() {
+    flush();
+    return {words_, crc_ ^ 0xFFFFFFFFu};
+  }
+
+ private:
+  void flush() {
+    while (pending_ != 0) {
+      const auto run = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(pending_, 0xFFFFFFFFu));
+      stream_.push_back(0);
+      stream_.push_back(run);
+      crc_ = advance_zero_run(crc_, run);
+      words_ += run;
+      pending_ -= run;
+    }
+  }
+
+  std::vector<std::uint32_t>& stream_;
+  std::uint64_t words_ = 0;
+  std::uint64_t pending_ = 0;
+  std::uint32_t crc_ = 0xFFFFFFFFu;
+};
+
+/// Fills `bs.words` from its stream: the decoded view.
+Bitstream decoded(Bitstream bs) {
+  bs.words = rle_decode(bs.rle, bs.word_count).words;
+  return bs;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::vector<std::uint32_t>& words) {
@@ -108,52 +163,49 @@ std::vector<std::uint32_t> rle_compress(
   return out;
 }
 
-RleDecoded rle_decode(const std::vector<std::uint32_t>& compressed,
-                      std::uint64_t max_words) {
-  // Check the markers and size the output before allocating it.
+RleCheck rle_check(const std::vector<std::uint32_t>& stream,
+                   std::uint64_t max_words) {
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < compressed.size(); ++i) {
-    if (compressed[i] == 0) {
-      PRESP_REQUIRE(i + 1 < compressed.size(),
-                    "truncated RLE stream: zero marker without run length");
-      const std::uint32_t run = compressed[++i];
-      PRESP_REQUIRE(run <= max_words - total,
-                    "RLE run overflows the declared payload size");
-      total += run;
-    } else {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::uint32_t word = stream[i];
+    if (word != 0) {
       PRESP_REQUIRE(total < max_words,
                     "RLE stream overflows the declared payload size");
       ++total;
-    }
-  }
-
-  RleDecoded out;
-  out.words.resize(static_cast<std::size_t>(total));  // runs stay zero
-  std::uint32_t* dst = out.words.data();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < compressed.size(); ++i) {
-    const std::uint32_t word = compressed[i];
-    if (word != 0) {
-      *dst++ = word;
       crc = crc_word(crc, word);
       continue;
     }
-    std::uint32_t run = compressed[++i];
-    dst += run;
-    for (std::size_t k = 0; run != 0; ++k, run >>= 1)
-      if (run & 1u) crc = advance_zeros(kZeroTables[k], crc);
+    PRESP_REQUIRE(i + 1 < stream.size(),
+                  "truncated RLE stream: zero marker without run length");
+    const std::uint32_t run = stream[++i];
+    PRESP_REQUIRE(run <= max_words - total,
+                  "RLE run overflows the declared payload size");
+    total += run;
+    crc = advance_zero_run(crc, run);
   }
-  out.crc = crc ^ 0xFFFFFFFFu;
+  return {total, crc ^ 0xFFFFFFFFu};
+}
+
+RleDecoded rle_decode(const std::vector<std::uint32_t>& compressed,
+                      std::uint64_t max_words) {
+  const RleCheck check = rle_check(compressed, max_words);
+  RleDecoded out;
+  out.words.resize(static_cast<std::size_t>(check.word_count));  // zeros
+  std::uint32_t* dst = out.words.data();
+  for (std::size_t i = 0; i < compressed.size(); ++i) {
+    if (compressed[i] != 0)
+      *dst++ = compressed[i];
+    else
+      dst += compressed[++i];  // runs stay zero
+  }
+  out.crc = check.crc;
   return out;
 }
 
-std::size_t Bitstream::compressed_bytes() const {
-  return compressed_bytes(rle_compress(words));
-}
-
-std::vector<std::uint32_t> BitstreamGenerator::frame_words(
-    const fabric::Pblock& region, const netlist::Netlist& nl,
-    const pnr::Placement* placement) const {
+void BitstreamGenerator::emit(Bitstream& bs, const fabric::Pblock& region,
+                              const netlist::Netlist& nl,
+                              const pnr::Placement* placement) const {
   PRESP_REQUIRE(region.valid(), "invalid bitstream region");
 
   // LUT usage per (col,row) cell inside the region.
@@ -172,10 +224,12 @@ std::vector<std::uint32_t> BitstreamGenerator::frame_words(
   }
 
   const int words_per_frame = device_.frames().frame_bytes / 4;
-  std::vector<std::uint32_t> words;
-  words.reserve(static_cast<std::size_t>(
-                    fabric::pblock_frames(device_, region)) *
-                static_cast<std::size_t>(words_per_frame));
+  // A partial's stream is ~11-18% of its words (Table VI range); a
+  // denser region grows the stream past this reservation as usual.
+  bs.rle.reserve(static_cast<std::size_t>(
+                     fabric::pblock_frames(device_, region)) *
+                 static_cast<std::size_t>(words_per_frame) / 4);
+  RleEmitter out(bs.rle);
 
   for (int col = region.col_lo; col <= region.col_hi; ++col) {
     const fabric::ColumnType type = device_.column_type(col);
@@ -210,15 +264,17 @@ std::vector<std::uint32_t> BitstreamGenerator::frame_words(
             burst_left = kBurst;
           if (burst_left > 0) {
             --burst_left;
-            words.push_back(static_cast<std::uint32_t>(rng.next_u64() | 1u));
+            out.literal(static_cast<std::uint32_t>(rng.next_u64() | 1u));
           } else {
-            words.push_back(0u);
+            out.zero();
           }
         }
       }
     }
   }
-  return words;
+  const RleCheck sums = out.finish();
+  bs.word_count = sums.word_count;
+  bs.crc = sums.crc;
 }
 
 fabric::Pblock BitstreamGenerator::whole_device() const {
@@ -227,7 +283,7 @@ fabric::Pblock BitstreamGenerator::whole_device() const {
 }
 
 std::size_t BitstreamGenerator::full_raw_bytes() const {
-  // The word count frame_words reserves (and fills) for the whole device.
+  // The word count emit produces for the whole device.
   const auto words_per_frame =
       static_cast<std::size_t>(device_.frames().frame_bytes / 4);
   return static_cast<std::size_t>(
@@ -243,8 +299,20 @@ Bitstream BitstreamGenerator::full(const std::string& design,
   bs.design = design;
   bs.partial = false;
   bs.pblock = whole_device();
-  bs.words = frame_words(bs.pblock, nl, &placement);
-  bs.crc = crc32(bs.words);
+  emit(bs, bs.pblock, nl, &placement);
+  return decoded(std::move(bs));
+}
+
+Bitstream BitstreamGenerator::partial_stream(
+    const std::string& design, const std::string& module,
+    const fabric::Pblock& pblock, const netlist::Netlist& nl,
+    const pnr::Placement& placement) const {
+  Bitstream bs;
+  bs.design = design;
+  bs.module = module;
+  bs.partial = true;
+  bs.pblock = pblock;
+  emit(bs, pblock, nl, &placement);
   return bs;
 }
 
@@ -253,14 +321,7 @@ Bitstream BitstreamGenerator::partial(const std::string& design,
                                       const fabric::Pblock& pblock,
                                       const netlist::Netlist& nl,
                                       const pnr::Placement& placement) const {
-  Bitstream bs;
-  bs.design = design;
-  bs.module = module;
-  bs.partial = true;
-  bs.pblock = pblock;
-  bs.words = frame_words(pblock, nl, &placement);
-  bs.crc = crc32(bs.words);
-  return bs;
+  return decoded(partial_stream(design, module, pblock, nl, placement));
 }
 
 Bitstream BitstreamGenerator::blank(const std::string& design,
@@ -271,9 +332,8 @@ Bitstream BitstreamGenerator::blank(const std::string& design,
   bs.partial = true;
   bs.pblock = pblock;
   netlist::Netlist empty("blank");
-  bs.words = frame_words(pblock, empty, nullptr);
-  bs.crc = crc32(bs.words);
-  return bs;
+  emit(bs, pblock, empty, nullptr);
+  return decoded(std::move(bs));
 }
 
 }  // namespace presp::bitstream

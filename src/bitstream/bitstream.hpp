@@ -30,32 +30,50 @@ namespace presp::bitstream {
 /// is the same on any host endianness.
 std::uint32_t crc32(const std::vector<std::uint32_t>& words);
 
-/// Zero-run RLE: literal non-zero words pass through; a zero word is
-/// encoded as {0, run_length}. Models Vivado's bitstream compression
-/// (multi-frame-write of identical frames). A build compresses each
-/// partial once and hands the stream to every consumer (its compressed
-/// size, the `.pbs` artifact, the flow cache entry).
+/// Zero-run RLE: literal non-zero words pass through; a run of zero words
+/// is encoded as {0, run_length}, a run longer than 0xFFFFFFFF as several
+/// such pairs. Models Vivado's bitstream compression (multi-frame-write of
+/// identical frames). The generator emits this stream directly (see
+/// BitstreamGenerator); rle_compress is the reference it must equal, for
+/// callers that hold decoded words.
 std::vector<std::uint32_t> rle_compress(
     const std::vector<std::uint32_t>& words);
+
+/// What an RLE stream decodes to, learned without decoding it.
+struct RleCheck {
+  std::uint64_t word_count = 0;  // words the stream decodes to
+  std::uint32_t crc = 0;         // crc32 of those words
+};
+
+/// The one RLE verifier: one pass over the stream, no allocation.
+/// `max_words` is the payload's declared word count: a run or literal past
+/// it throws InvalidArgument, as does a zero marker without a run length;
+/// callers compare the returned count with the count they declared. The
+/// CRC takes each literal through a one-word slicing step and each zero
+/// run through zero-advance tables (one per power of two of zero words,
+/// applied once per set bit of the run length), so the zeros are never
+/// touched.
+RleCheck rle_check(const std::vector<std::uint32_t>& stream,
+                   std::uint64_t max_words);
 
 /// An RLE stream decoded by rle_decode.
 struct RleDecoded {
   std::vector<std::uint32_t> words;
-  std::uint32_t crc = 0;  // crc32(words), computed in the decoding pass
+  std::uint32_t crc = 0;  // crc32(words)
 };
 
-/// The one RLE decoder. `max_words` is the payload's declared word count:
-/// a run or literal past it throws InvalidArgument, as does a zero marker
-/// without a run length. The markers are checked before anything is
-/// allocated, so a corrupted run length fails cleanly instead of exploding
-/// the allocation; the output is then allocated once, at the size the
-/// stream decodes to, which callers compare with the declared count.
-/// The CRC is computed in the same pass: each literal through a one-word
-/// slicing step, each zero run through zero-advance tables (one per power
-/// of two of zero words, applied once per set bit of the run length).
+/// rle_check, then one allocation of the words it counted and a fill.
+/// Throws what rle_check throws, before anything is allocated.
 RleDecoded rle_decode(const std::vector<std::uint32_t>& compressed,
                       std::uint64_t max_words);
 
+/// A bitstream is its RLE stream: `rle`, `word_count` and `crc` are the
+/// artifact (what a `.pbs` file and a flow-cache entry store), and every
+/// size is read from them. `words` is a decoded view of the same payload,
+/// filled only by the entry points that decode: the generator's
+/// full/partial/blank, read_bitstream and FlowCache::load_module. The flow
+/// itself never decodes (BitstreamGenerator::partial_stream,
+/// FlowCache::load_module_stream).
 struct Bitstream {
   /// Identifies what the bitstream configures.
   std::string design;
@@ -63,27 +81,33 @@ struct Bitstream {
   fabric::Pblock pblock;    // partial only; full: whole device
   bool partial = false;
 
-  std::vector<std::uint32_t> words;  // uncompressed frame payload
-  std::uint32_t crc = 0;
+  std::vector<std::uint32_t> rle;  // RLE-compressed frame payload
+  std::uint64_t word_count = 0;    // uncompressed payload words
+  std::uint32_t crc = 0;           // crc32 of the uncompressed payload
+  std::vector<std::uint32_t> words;  // decoded view; empty unless decoded
 
-  std::size_t raw_bytes() const { return words.size() * 4 + kHeaderBytes; }
+  std::size_t raw_bytes() const {
+    return static_cast<std::size_t>(word_count) * 4 + kHeaderBytes;
+  }
   /// Compressed transport size (what lands in DDR and flows through the
   /// ICAP when compression is enabled).
-  std::size_t compressed_bytes() const;
-  /// The same size given the words' RLE stream, without re-compressing.
-  static std::size_t compressed_bytes(const std::vector<std::uint32_t>& rle) {
+  std::size_t compressed_bytes() const {
     return rle.size() * 4 + kHeaderBytes;
   }
 
   static constexpr std::size_t kHeaderBytes = 128;  // sync + IDCODE + cmds
 };
 
+/// Generates bitstreams by one emitter: it walks the region's frames cell
+/// by cell and writes the RLE stream, the word count and the CRC as it
+/// goes, never holding the decoded words. The entry points that return a
+/// Bitstream with `words` decode that stream afterwards.
 class BitstreamGenerator {
  public:
   explicit BitstreamGenerator(const fabric::Device& device)
       : device_(device) {}
 
-  /// Full-device bitstream for a flat implementation.
+  /// Full-device bitstream for a flat implementation, decoded.
   Bitstream full(const std::string& design, const netlist::Netlist& nl,
                  const pnr::Placement& placement) const;
 
@@ -92,21 +116,32 @@ class BitstreamGenerator {
   std::size_t full_raw_bytes() const;
 
   /// Partial bitstream: the frames of `pblock`, with content derived from
-  /// the partition run's placement.
+  /// the partition run's placement. Decoded: partial_stream plus `words`.
   Bitstream partial(const std::string& design, const std::string& module,
                     const fabric::Pblock& pblock, const netlist::Netlist& nl,
                     const pnr::Placement& placement) const;
 
+  /// The same partial bitstream as its stream alone (`words` stays
+  /// empty): what the flow writes, caches and reports sizes from.
+  Bitstream partial_stream(const std::string& design,
+                           const std::string& module,
+                           const fabric::Pblock& pblock,
+                           const netlist::Netlist& nl,
+                           const pnr::Placement& placement) const;
+
   /// A blanking bitstream for a pblock (all-zero frames): used to erase a
   /// partition before handoff, and as the placeholder "empty module".
+  /// Decoded.
   Bitstream blank(const std::string& design,
                   const fabric::Pblock& pblock) const;
 
  private:
   fabric::Pblock whole_device() const;
-  std::vector<std::uint32_t> frame_words(
-      const fabric::Pblock& region, const netlist::Netlist& nl,
-      const pnr::Placement* placement) const;
+  /// Fills `bs.rle`, `bs.word_count` and `bs.crc` with `region`'s frames;
+  /// `placement == nullptr` emits all-zero frames.
+  void emit(Bitstream& bs, const fabric::Pblock& region,
+            const netlist::Netlist& nl,
+            const pnr::Placement* placement) const;
 
   const fabric::Device& device_;
 };

@@ -289,7 +289,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
         mk.add(to_string(result.decision.strategy))
             .add(static_cast<long long>(result.decision.tau));
         module_keys[j] = mk.finish();
-        module_hits[j] = cache->load_module(module_keys[j]);
+        module_hits[j] = cache->load_module_stream(module_keys[j]);
       }
     }
 
@@ -341,8 +341,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
     std::vector<char> run_ok(jobs.size() + 1, 1);
     std::vector<double> run_fmax(jobs.size() + 1, 1e9);
     const std::size_t kStaticSlot = jobs.size();
-    // Fresh partial bitstreams and their RLE streams, retained for cache
-    // stores.
+    // Fresh partial bitstreams (streams only), retained for cache stores.
     std::vector<ModuleEntry> fresh(cache ? jobs.size() : 0);
 
     // Replay cached stage results on the driver thread (fixed job order)
@@ -354,8 +353,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
       impl.utilization = hit.utilization;
       impl.routed = hit.routed;
       impl.pbs_raw_bytes = hit.pbs.raw_bytes();
-      impl.pbs_compressed_bytes =
-          bitstream::Bitstream::compressed_bytes(hit.rle);
+      impl.pbs_compressed_bytes = hit.pbs.compressed_bytes();
       run_ok[j] = hit.routed ? 1 : 0;
       run_fmax[j] = hit.fmax_mhz;
     }
@@ -365,7 +363,7 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
       for (std::size_t j = 0; j < jobs.size(); ++j)
         if (module_hits[j])
           bitstream::write_bitstream(
-              module_hits[j]->pbs, module_hits[j]->rle,
+              module_hits[j]->pbs,
               options_.artifacts_dir + "/" +
                   bitstream::pbs_filename(config.name,
                                           result.modules[j].partition,
@@ -427,26 +425,27 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
               impl.routed = run.success();
               run_ok[j] = impl.routed ? 1 : 0;
               run_fmax[j] = run.route.achieved_fmax_mhz;
-              const trace::TraceScope bitgen_span(trace::Category::kFlow,
-                                                  "bitgen:partial");
-              bitstream::Bitstream pbs =
-                  bitgen.partial(config.name, jobs[j].module, pblock,
-                                 ooc.netlist, run.place.placement);
-              std::vector<std::uint32_t> rle =
-                  bitstream::rle_compress(pbs.words);
-              impl.pbs_raw_bytes = pbs.raw_bytes();
-              impl.pbs_compressed_bytes =
-                  bitstream::Bitstream::compressed_bytes(rle);
-              if (!options_.artifacts_dir.empty())
-                bitstream::write_bitstream(
-                    pbs, rle,
-                    options_.artifacts_dir + "/" +
-                        bitstream::pbs_filename(config.name, impl.partition,
-                                                jobs[j].module));
-              if (cache) {
-                fresh[j].pbs = std::move(pbs);
-                fresh[j].rle = std::move(rle);
+              // One emitter pass gives the stream every consumer reads:
+              // the sizes, the `.pbs` and the cache entry.
+              bitstream::Bitstream pbs;
+              {
+                const trace::TraceScope bitgen_span(trace::Category::kFlow,
+                                                    "bitgen:partial");
+                pbs = bitgen.partial_stream(config.name, jobs[j].module,
+                                            pblock, ooc.netlist,
+                                            run.place.placement);
               }
+              impl.pbs_raw_bytes = pbs.raw_bytes();
+              impl.pbs_compressed_bytes = pbs.compressed_bytes();
+              if (!options_.artifacts_dir.empty()) {
+                const trace::TraceScope write_span(trace::Category::kFlow,
+                                                   "bitgen:write");
+                bitstream::write_bitstream(
+                    pbs, options_.artifacts_dir + "/" +
+                             bitstream::pbs_filename(
+                                 config.name, impl.partition, jobs[j].module));
+              }
+              if (cache) fresh[j].pbs = std::move(pbs);
             },
             std::move(deps), lut_priority(group_luts));
       }

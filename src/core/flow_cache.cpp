@@ -192,9 +192,7 @@ StaticPnrEntry decode_static_pnr(const std::string& payload) {
 }
 
 std::string encode(const ModuleEntry& e) {
-  std::vector<std::uint32_t> compressed;
-  if (e.rle.empty()) compressed = bitstream::rle_compress(e.pbs.words);
-  const std::vector<std::uint32_t>& rle = e.rle.empty() ? compressed : e.rle;
+  const std::vector<std::uint32_t>& rle = e.pbs.rle;
   std::string out;
   // The fixed-width fields take 94 bytes.
   out.reserve(94 + e.pbs.design.size() + e.pbs.module.size() +
@@ -210,12 +208,14 @@ std::string encode(const ModuleEntry& e) {
   put_i32(out, e.pbs.pblock.row_hi);
   out.push_back(e.pbs.partial ? 1 : 0);
   put_u32(out, e.pbs.crc);
-  put_u64(out, e.pbs.words.size());
+  put_u64(out, e.pbs.word_count);
   put_u64(out, rle.size());
   put_u32s(out, rle);
   return out;
 }
 
+/// Parses a module payload and verifies its stream with rle_check (word
+/// count and CRC against the stored ones) without decoding it.
 ModuleEntry decode_module(const std::string& payload) {
   Reader r(payload);
   ModuleEntry e;
@@ -230,19 +230,19 @@ ModuleEntry decode_module(const std::string& payload) {
   e.pbs.pblock.row_hi = r.i32();
   e.pbs.partial = r.u8() != 0;
   e.pbs.crc = r.u32();
-  const std::uint64_t word_count = r.u64();
+  e.pbs.word_count = r.u64();
   const std::uint64_t compressed_count = r.u64();
   constexpr std::uint64_t kMaxWords = 1ull << 30;
-  if (word_count > kMaxWords || compressed_count > 2 * word_count + 2)
+  if (e.pbs.word_count > kMaxWords ||
+      compressed_count > 2 * e.pbs.word_count + 2)
     throw Error("implausible cached bitstream size");
-  e.rle = r.u32s(compressed_count);
+  e.pbs.rle = r.u32s(compressed_count);
   r.done();
-  bitstream::RleDecoded decoded = bitstream::rle_decode(e.rle, word_count);
-  if (decoded.words.size() != word_count)
+  const bitstream::RleCheck check =
+      bitstream::rle_check(e.pbs.rle, e.pbs.word_count);
+  if (check.word_count != e.pbs.word_count)
     throw Error("cached bitstream payload length mismatch");
-  if (decoded.crc != e.pbs.crc)
-    throw Error("cached bitstream CRC mismatch");
-  e.pbs.words = std::move(decoded.words);
+  if (check.crc != e.pbs.crc) throw Error("cached bitstream CRC mismatch");
   return e;
 }
 
@@ -409,8 +409,17 @@ void FlowCache::store_static_pnr(std::uint64_t key,
   store(key, kKindStaticPnr, encode(entry));
 }
 
-std::optional<ModuleEntry> FlowCache::load_module(std::uint64_t key) {
+std::optional<ModuleEntry> FlowCache::load_module_stream(std::uint64_t key) {
   return load(key, kKindModule, decode_module);
+}
+
+std::optional<ModuleEntry> FlowCache::load_module(std::uint64_t key) {
+  std::optional<ModuleEntry> entry = load_module_stream(key);
+  // The stream has verified; decoding it cannot fail.
+  if (entry)
+    entry->pbs.words =
+        bitstream::rle_decode(entry->pbs.rle, entry->pbs.word_count).words;
+  return entry;
 }
 
 void FlowCache::store_module(std::uint64_t key, const ModuleEntry& entry) {

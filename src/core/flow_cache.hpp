@@ -24,7 +24,10 @@
 //       without re-running static P&R.
 //   module      (key = H(module synth inputs, its pblock, static-pnr
 //       key, strategy/tau))
-//       the module's utilization, route outcome and partial bitstream.
+//       the module's utilization, route outcome and partial bitstream,
+//       stored as its RLE stream with word count and CRC. A load checks
+//       that CRC by walking the stream (bitstream::rle_check); only
+//       load_module decodes the words as well.
 //
 // Changing a module's RTL inputs invalidates that module only; changing
 // the device, a constraint, the strategy or any tool version invalidates
@@ -94,12 +97,9 @@ struct ModuleEntry {
   fabric::ResourceVec utilization;
   bool routed = false;
   double fmax_mhz = 0.0;
+  /// Stored and loaded as its stream (`rle`, `word_count`, `crc`); `words`
+  /// is never stored, and only load_module fills it.
   bitstream::Bitstream pbs;
-  /// `rle_compress(pbs.words)`, the stream the entry stores. load_module
-  /// fills it from the payload, so a hit writes its `.pbs` and reports its
-  /// compressed size without compressing again. Empty on a store means
-  /// "not computed": the entry compresses `pbs.words` itself.
-  std::vector<std::uint32_t> rle;
 };
 
 class FlowCache {
@@ -129,6 +129,12 @@ class FlowCache {
   std::optional<StaticPnrEntry> load_static_pnr(std::uint64_t key);
   void store_static_pnr(std::uint64_t key, const StaticPnrEntry& entry);
 
+  /// The flow's hit path: verifies the stored stream with one rle_check
+  /// pass (bounds, word count, CRC) and allocates no decoded words, so
+  /// `pbs.words` stays empty.
+  std::optional<ModuleEntry> load_module_stream(std::uint64_t key);
+  /// load_module_stream plus the decoded view `pbs.words`. Counts hits,
+  /// misses and poisoned entries exactly as load_module_stream does.
   std::optional<ModuleEntry> load_module(std::uint64_t key);
   void store_module(std::uint64_t key, const ModuleEntry& entry);
 

@@ -141,9 +141,12 @@ TEST(OracleStrategyTest, NeverWorseThanTable1Choice) {
               table1.predicted_minutes + 1e-9)
         << "SOC_" << soc;
     // The oracle agrees with Table I on the clear-cut classes.
-    if (soc == 1) EXPECT_EQ(oracle.strategy, core::Strategy::kSerial);
-    if (soc == 2)
+    if (soc == 1) {
+      EXPECT_EQ(oracle.strategy, core::Strategy::kSerial);
+    }
+    if (soc == 2) {
       EXPECT_EQ(oracle.strategy, core::Strategy::kFullyParallel);
+    }
   }
 }
 

@@ -61,13 +61,17 @@ TEST(FullRawBytesTest, ClosedFormMatchesBuiltImage) {
 }
 
 /// Decodes `compressed`, declaring `words.size()` words, and checks the
-/// words and the fused CRC against crc32 and the bit-at-a-time reference.
+/// words and the CRC against crc32 and the bit-at-a-time reference; the
+/// decoder-free rle_check must report the same word count and CRC.
 void expect_decodes_to(const std::vector<std::uint32_t>& compressed,
                        const std::vector<std::uint32_t>& words) {
   const RleDecoded decoded = rle_decode(compressed, words.size());
   EXPECT_EQ(decoded.words, words);
   EXPECT_EQ(decoded.crc, crc32(words));
   EXPECT_EQ(decoded.crc, reference_crc32(words));
+  const RleCheck check = rle_check(compressed, words.size());
+  EXPECT_EQ(check.word_count, words.size());
+  EXPECT_EQ(check.crc, decoded.crc);
 }
 
 TEST(RleTest, RoundTripMixedContent) {
@@ -96,8 +100,11 @@ TEST(RleTest, NoZerosPassThrough) {
 }
 
 TEST(RleTest, TruncatedStreamRejected) {
-  EXPECT_THROW(rle_decode({0u}, 8), InvalidArgument);
-  EXPECT_THROW(rle_decode({7u, 0u}, 8), InvalidArgument);
+  for (const std::vector<std::uint32_t>& stream :
+       {std::vector<std::uint32_t>{0u}, std::vector<std::uint32_t>{7u, 0u}}) {
+    EXPECT_THROW(rle_decode(stream, 8), InvalidArgument);
+    EXPECT_THROW(rle_check(stream, 8), InvalidArgument);
+  }
 }
 
 TEST(RleTest, DecodeCrcMatchesReferenceOnEdgeStreams) {
@@ -133,17 +140,23 @@ TEST(RleTest, DecodeCrcMatchesReferenceOnMixedStream) {
 }
 
 TEST(RleTest, OverflowingStreamsRejected) {
-  // A run past the declared count is rejected before anything is
-  // allocated.
-  EXPECT_THROW(rle_decode({0u, 5u}, 4), InvalidArgument);
-  EXPECT_THROW(rle_decode({1u, 0u, 0xFFFFFFFFu}, 1ull << 30),
-               InvalidArgument);
-  // A literal past it.
-  EXPECT_THROW(rle_decode({1u, 2u, 3u}, 2), InvalidArgument);
-  EXPECT_THROW(rle_decode({0u, 2u, 3u}, 2), InvalidArgument);
+  const std::pair<std::vector<std::uint32_t>, std::uint64_t> overflowing[] = {
+      // A run past the declared count, rejected before anything is
+      // allocated.
+      {{0u, 5u}, 4},
+      {{1u, 0u, 0xFFFFFFFFu}, 1ull << 30},
+      // A literal past it.
+      {{1u, 2u, 3u}, 2},
+      {{0u, 2u, 3u}, 2},
+  };
+  for (const auto& [stream, max_words] : overflowing) {
+    EXPECT_THROW(rle_decode(stream, max_words), InvalidArgument);
+    EXPECT_THROW(rle_check(stream, max_words), InvalidArgument);
+  }
   // A stream short of the count decodes to what it holds; callers compare
   // the size with the count they declared.
   EXPECT_EQ(rle_decode({1u, 0u, 2u}, 10).words.size(), 3u);
+  EXPECT_EQ(rle_check({1u, 0u, 2u}, 10).word_count, 3u);
 }
 
 class BitstreamFixture : public ::testing::Test {
@@ -250,6 +263,159 @@ TEST_F(BitstreamFixture, WamiTileCompressedSizeInTable6Range) {
   const Bitstream bs = gen_.partial("soc", "warp", pblock, nl, placement);
   EXPECT_GT(bs.compressed_bytes(), 150'000u);
   EXPECT_LT(bs.compressed_bytes(), 650'000u);
+}
+
+// ---- the emitter against the word loop it replaced --------------------
+
+/// The frame-word loop the generator ran before it emitted RLE directly:
+/// every decoded word of `region`, cell by cell. `cell_starts` receives
+/// the index of each cell's first word.
+std::vector<std::uint32_t> reference_frame_words(
+    const fabric::Device& device, const fabric::Pblock& region,
+    const netlist::Netlist& nl, const pnr::Placement* placement,
+    std::vector<std::size_t>& cell_starts) {
+  const auto rows = static_cast<std::size_t>(device.region_rows());
+  std::vector<std::int64_t> usage(
+      static_cast<std::size_t>(device.num_columns()) * rows, 0);
+  if (placement != nullptr) {
+    for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
+      const auto& cell = nl.cell(c);
+      if (cell.kind != netlist::CellKind::kLogic) continue;
+      const pnr::GridLoc& loc = placement->at(c);
+      if (!loc.valid() || !region.contains(loc.col, loc.row)) continue;
+      usage[static_cast<std::size_t>(loc.col) * rows +
+            static_cast<std::size_t>(loc.row)] += cell.resources.luts;
+    }
+  }
+  const int words_per_frame = device.frames().frame_bytes / 4;
+  std::vector<std::uint32_t> words;
+  for (int col = region.col_lo; col <= region.col_hi; ++col) {
+    const int frames = device.frames().frames_for(device.column_type(col));
+    const std::int64_t capacity =
+        std::max<std::int64_t>(1, device.cell_resources(col).luts);
+    for (int row = region.row_lo; row <= region.row_hi; ++row) {
+      cell_starts.push_back(words.size());
+      const std::int64_t used = usage[static_cast<std::size_t>(col) * rows +
+                                      static_cast<std::size_t>(row)];
+      const double fill = std::min(
+          1.0, static_cast<double>(used) / static_cast<double>(capacity));
+      const double density = placement == nullptr ? 0.0 : 0.28 * fill + 0.02;
+      constexpr int kBurst = 8;
+      presp::Rng rng(0x9E3779B9ull * static_cast<std::uint64_t>(col + 1) +
+                     1000003ull * static_cast<std::uint64_t>(row + 1));
+      int burst_left = 0;
+      for (int f = 0; f < frames; ++f) {
+        for (int w = 0; w < words_per_frame; ++w) {
+          if (burst_left == 0 && rng.next_double() < density / kBurst)
+            burst_left = kBurst;
+          if (burst_left > 0) {
+            --burst_left;
+            words.push_back(static_cast<std::uint32_t>(rng.next_u64() | 1u));
+          } else {
+            words.push_back(0u);
+          }
+        }
+      }
+    }
+  }
+  return words;
+}
+
+/// True when a zero run of `words` covers both sides of `boundary`.
+bool zero_run_spans(const std::vector<std::uint32_t>& words,
+                    std::size_t boundary) {
+  return boundary > 0 && boundary < words.size() &&
+         words[boundary - 1] == 0 && words[boundary] == 0;
+}
+
+/// The stream-only and the decoded bitstream both match `ref`.
+void expect_emits(const Bitstream& stream, const Bitstream& decoded,
+                  const std::vector<std::uint32_t>& ref,
+                  const std::string& what) {
+  EXPECT_EQ(stream.rle, rle_compress(ref)) << what;
+  EXPECT_EQ(stream.word_count, ref.size()) << what;
+  EXPECT_EQ(stream.crc, crc32(ref)) << what;
+  EXPECT_TRUE(stream.words.empty()) << what;
+  EXPECT_EQ(decoded.rle, stream.rle) << what;
+  EXPECT_EQ(decoded.crc, stream.crc) << what;
+  EXPECT_EQ(decoded.words, ref) << what;
+}
+
+TEST(EmitterTest, StreamEqualsCompressedReferenceOnRandomPlacements) {
+  const fabric::Device device = fabric::Device::vc707();
+  const BitstreamGenerator gen(device);
+  presp::Rng rng(0x454d4954);
+  int cell_spanning_runs = 0;
+  int frame_spanning_runs = 0;
+  constexpr int kCases = 60;
+  for (int i = 0; i < kCases; ++i) {
+    const auto below = [&](int n) {
+      return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+    };
+    const int cols = device.num_columns();
+    const int rows = device.region_rows();
+    // Up to 12 columns by up to 2 clock-region rows.
+    fabric::Pblock pb;
+    pb.col_lo = below(cols);
+    pb.col_hi = pb.col_lo + below(std::min(12, cols - pb.col_lo));
+    pb.row_lo = below(rows);
+    pb.row_hi = pb.row_lo + below(std::min(2, rows - pb.row_lo));
+    // Logic cells of random size, some placed outside the pblock, some
+    // not placed at all, and one non-logic cell on a placed site.
+    netlist::Netlist nl("rand");
+    pnr::Placement placement;
+    const std::uint64_t cells = rng.next_below(40);
+    for (std::uint64_t c = 0; c < cells; ++c) {
+      const bool port = c == 0;
+      const auto luts =
+          port ? 0 : static_cast<std::int64_t>(rng.next_below(3000));
+      const auto id = nl.add_cell(
+          {"c" + std::to_string(c),
+           port ? netlist::CellKind::kPort : netlist::CellKind::kLogic,
+           {luts, luts, 0, 0},
+           ""});
+      placement.locations.resize(id + 1);
+      if (rng.next_bool(0.1)) continue;  // left unplaced
+      placement.locations[id] = pnr::GridLoc{below(cols), below(rows)};
+    }
+
+    std::vector<std::size_t> cell_starts;
+    const std::vector<std::uint32_t> ref =
+        reference_frame_words(device, pb, nl, &placement, cell_starts);
+    const std::string what = "case " + std::to_string(i) + " " + pb.to_string();
+    expect_emits(gen.partial_stream("soc", "m", pb, nl, placement),
+                 gen.partial("soc", "m", pb, nl, placement), ref, what);
+    for (const std::size_t start : cell_starts)
+      if (zero_run_spans(ref, start)) ++cell_spanning_runs;
+    const std::size_t words_per_frame =
+        static_cast<std::size_t>(device.frames().frame_bytes / 4);
+    for (std::size_t at = words_per_frame; at < ref.size();
+         at += words_per_frame)
+      if (zero_run_spans(ref, at)) ++frame_spanning_runs;
+  }
+  // The pending run crossed cell and frame boundaries, not only ran
+  // inside one frame.
+  EXPECT_GT(cell_spanning_runs, kCases);
+  EXPECT_GT(frame_spanning_runs, kCases);
+}
+
+TEST(EmitterTest, BlankIsOneZeroRun) {
+  const fabric::Device device = fabric::Device::vc707();
+  const BitstreamGenerator gen(device);
+  const fabric::Pblock pb{2, 40, 0, 1};
+  netlist::Netlist empty("blank");
+  std::vector<std::size_t> cell_starts;
+  const std::vector<std::uint32_t> ref =
+      reference_frame_words(device, pb, empty, nullptr, cell_starts);
+  const Bitstream blank = gen.blank("soc", pb);
+  // A run spanning every cell and frame of the pblock.
+  EXPECT_EQ(blank.rle,
+            (std::vector<std::uint32_t>{0u, static_cast<std::uint32_t>(
+                                                ref.size())}));
+  EXPECT_EQ(blank.rle, rle_compress(ref));
+  EXPECT_EQ(blank.word_count, ref.size());
+  EXPECT_EQ(blank.crc, crc32(ref));
+  EXPECT_EQ(blank.words, ref);
 }
 
 }  // namespace

@@ -30,6 +30,16 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
+/// Gives `pbs` the payload `words`, as a decoding entry point leaves it:
+/// the stream, its word count and CRC, and the decoded view. Every test
+/// that builds a payload by hand goes through here.
+void set_words(bitstream::Bitstream& pbs, std::vector<std::uint32_t> words) {
+  pbs.rle = bitstream::rle_compress(words);
+  pbs.word_count = words.size();
+  pbs.crc = bitstream::crc32(words);
+  pbs.words = std::move(words);
+}
+
 ModuleEntry sample_module(std::uint32_t seed) {
   ModuleEntry e;
   e.utilization = {1000 + seed, 2000, 3, 4};
@@ -39,8 +49,7 @@ ModuleEntry sample_module(std::uint32_t seed) {
   e.pbs.module = "mod" + std::to_string(seed);
   e.pbs.pblock = {1, 4, 0, 1};
   e.pbs.partial = true;
-  e.pbs.words.assign(4096, seed);
-  e.pbs.crc = bitstream::crc32(e.pbs.words);
+  set_words(e.pbs, std::vector<std::uint32_t>(4096, seed));
   return e;
 }
 
@@ -87,6 +96,8 @@ TEST(FlowCacheTest, ColdMissThenWarmHitRoundTrips) {
   EXPECT_EQ(loaded->routed, stored.routed);
   EXPECT_DOUBLE_EQ(loaded->fmax_mhz, stored.fmax_mhz);
   EXPECT_EQ(loaded->pbs.words, stored.pbs.words);
+  EXPECT_EQ(loaded->pbs.rle, stored.pbs.rle);
+  EXPECT_EQ(loaded->pbs.word_count, stored.pbs.word_count);
   EXPECT_EQ(loaded->pbs.crc, stored.pbs.crc);
   EXPECT_EQ(loaded->pbs.module, stored.pbs.module);
 }
@@ -203,17 +214,30 @@ TEST(FlowCacheTest, LoadedStreamIsTheStoredOne) {
   opt.dir = fresh_dir("fc_stream");
   FlowCache cache(opt);
   ModuleEntry entry = sample_module(4);
-  entry.pbs.words[7] = 0;
-  entry.pbs.words.insert(entry.pbs.words.begin() + 100, 300, 0u);
-  entry.pbs.crc = bitstream::crc32(entry.pbs.words);
-  cache.store_module(1, entry);  // compresses pbs.words itself
-  entry.rle = bitstream::rle_compress(entry.pbs.words);
-  cache.store_module(2, entry);  // stores the stream it was handed
+  std::vector<std::uint32_t> words = entry.pbs.words;
+  words[7] = 0;
+  words.insert(words.begin() + 100, 300, 0u);
+  set_words(entry.pbs, words);
+  cache.store_module(1, entry);
+
+  // The stream-only load verifies the stream and decodes nothing.
+  const auto stream = cache.load_module_stream(1);
+  ASSERT_TRUE(stream.has_value());
+  EXPECT_EQ(stream->pbs.rle, entry.pbs.rle);
+  EXPECT_EQ(stream->pbs.word_count, entry.pbs.word_count);
+  EXPECT_EQ(stream->pbs.crc, entry.pbs.crc);
+  EXPECT_TRUE(stream->pbs.words.empty());
+  EXPECT_EQ(stream->pbs.raw_bytes(), entry.pbs.raw_bytes());
+  EXPECT_EQ(stream->pbs.compressed_bytes(), entry.pbs.compressed_bytes());
 
   const auto loaded = cache.load_module(1);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->rle, entry.rle);
+  EXPECT_EQ(loaded->pbs.rle, entry.pbs.rle);
   EXPECT_EQ(loaded->pbs.words, entry.pbs.words);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // Storing what a stream-only load returned writes the same payload.
+  cache.store_module(2, *stream);
   EXPECT_EQ(bitstream::read_cache_blob(cache.dir() + "/0000000000000001.pfc", 1)
                 .payload,
             bitstream::read_cache_blob(cache.dir() + "/0000000000000002.pfc", 2)
@@ -246,13 +270,21 @@ TEST(FlowCacheTest, FlippedRleLiteralFailsTheCrcCheck) {
   bitstream::write_cache_blob(blob, victim.string());
 
   FlowCache reopened(opt);
-  EXPECT_FALSE(reopened.load_module(11).has_value());
-  // The blob verified but its payload failed to decode: a miss, never
+  EXPECT_FALSE(reopened.load_module_stream(11).has_value());
+  // The blob verified but its stream failed the CRC walk: a miss, never
   // also a hit.
   EXPECT_EQ(reopened.stats().hits, 0u);
   EXPECT_EQ(reopened.stats().misses, 1u);
   EXPECT_EQ(reopened.stats().poisoned, 1u);
   EXPECT_FALSE(fs::exists(victim));  // rejected entries are deleted
+
+  // The decoding load rejects it the same way.
+  bitstream::write_cache_blob(blob, victim.string());
+  EXPECT_FALSE(reopened.load_module(11).has_value());
+  EXPECT_EQ(reopened.stats().hits, 0u);
+  EXPECT_EQ(reopened.stats().misses, 2u);
+  EXPECT_EQ(reopened.stats().poisoned, 2u);
+  EXPECT_FALSE(fs::exists(victim));
 }
 
 // ---- binary parsers under seeded mutation ---------------------------
@@ -283,8 +315,9 @@ std::vector<std::uint32_t> bursty_words(Rng& rng, std::size_t count) {
 }
 
 // PFC1 module payloads, each mutant rewritten under a matching payload hash
-// so it reaches decode_module and the RLE decoder: every mutant must be
-// rejected (poisoned and removed) or load words whose CRC matches.
+// so it reaches the payload parser and the RLE checks: every mutant must be
+// rejected (poisoned and removed) by both loads, or accepted by both with
+// the same stream and CRC and decode to words whose CRC matches.
 TEST(FlowCacheMutationTest, ModulePayloadsRejectOrLoadCrcCleanWords) {
   constexpr std::uint64_t kSeed = 0x50464331;
   constexpr int kMutations = 1000;
@@ -295,8 +328,7 @@ TEST(FlowCacheMutationTest, ModulePayloadsRejectOrLoadCrcCleanWords) {
   opt.max_bytes = 0;
   FlowCache cache(opt);
   ModuleEntry entry = sample_module(5);
-  entry.pbs.words = bursty_words(rng, 3000);
-  entry.pbs.crc = bitstream::crc32(entry.pbs.words);
+  set_words(entry.pbs, bursty_words(rng, 3000));
   cache.store_module(kKey, entry);
   const std::string path = only_entry(opt.dir).string();
   const bitstream::CacheBlob stored = bitstream::read_cache_blob(path, kKey);
@@ -310,13 +342,32 @@ TEST(FlowCacheMutationTest, ModulePayloadsRejectOrLoadCrcCleanWords) {
     mutate(blob.payload, rng);
     bitstream::write_cache_blob(blob, path);
     const std::uint64_t poisoned = cache.stats().poisoned;
+    const auto streamed = cache.load_module_stream(kKey);
+    EXPECT_EQ(cache.stats().poisoned, poisoned + (streamed ? 0 : 1))
+        << "seed " << kSeed << " mutation " << i;
+    EXPECT_EQ(fs::exists(path), streamed.has_value())
+        << "seed " << kSeed << " mutation " << i;
+    bitstream::write_cache_blob(blob, path);
     const auto loaded = cache.load_module(kKey);
+    if (loaded.has_value() != streamed.has_value()) {
+      ADD_FAILURE() << "the loads disagree: seed " << kSeed << " mutation "
+                    << i;
+      continue;
+    }
     if (loaded) {
       ++accepted;
+      EXPECT_EQ(loaded->pbs.rle, streamed->pbs.rle)
+          << "seed " << kSeed << " mutation " << i;
+      EXPECT_EQ(loaded->pbs.crc, streamed->pbs.crc)
+          << "seed " << kSeed << " mutation " << i;
+      EXPECT_TRUE(streamed->pbs.words.empty())
+          << "seed " << kSeed << " mutation " << i;
+      EXPECT_EQ(loaded->pbs.words.size(), loaded->pbs.word_count)
+          << "seed " << kSeed << " mutation " << i;
       EXPECT_EQ(bitstream::crc32(loaded->pbs.words), loaded->pbs.crc)
           << "seed " << kSeed << " mutation " << i;
     } else {
-      EXPECT_EQ(cache.stats().poisoned, poisoned + 1)
+      EXPECT_EQ(cache.stats().poisoned, poisoned + 2)
           << "seed " << kSeed << " mutation " << i;
       EXPECT_FALSE(fs::exists(path)) << "seed " << kSeed << " mutation " << i;
     }
@@ -337,8 +388,7 @@ TEST(FlowCacheMutationTest, BitstreamFilesRejectOrReadCrcCleanWords) {
   pbs.module = "mod";
   pbs.pblock = {1, 4, 0, 1};
   pbs.partial = true;
-  pbs.words = bursty_words(rng, 3000);
-  pbs.crc = bitstream::crc32(pbs.words);
+  set_words(pbs, bursty_words(rng, 3000));
   const std::string dir = fresh_dir("pbs_mutation");
   fs::create_directories(dir);
   const std::string path = dir + "/m.pbs";

@@ -585,7 +585,9 @@ TEST(FleetLintTest, DiagnosticsAnchorToTheFleetKeyLine) {
   ASSERT_TRUE(has_rule(diags, "fleet.topology"));
   // kCleanSoc spans 14 lines; "[fleet]" follows the blank separator.
   for (const Diagnostic& d : diags)
-    if (d.rule == "fleet.topology") EXPECT_GT(d.loc.line, 0);
+    if (d.rule == "fleet.topology") {
+      EXPECT_GT(d.loc.line, 0);
+    }
 }
 
 TEST(FleetLintTest, RepackerBoundsInFleetSection) {
@@ -709,8 +711,9 @@ TEST(ExecLintTest, CacheDirUnderAPlainFileIsAnError) {
       run_lint(with_exec("cache_dir = " + file + "/cache\n"));
   ASSERT_TRUE(has_rule(diags, "exec.cache-dir-writable"));
   for (const Diagnostic& d : diags)
-    if (d.rule == "exec.cache-dir-writable")
+    if (d.rule == "exec.cache-dir-writable") {
       EXPECT_NE(d.message.find("not a directory"), std::string::npos);
+    }
 }
 
 TEST(ExecLintTest, TinyCacheCapIsAnError) {
@@ -740,8 +743,9 @@ TEST(ExecLintTest, CapWithoutCacheDirIsAWarning) {
   ASSERT_TRUE(has_rule(diags, "exec.cache-size-bounds"));
   EXPECT_FALSE(has_error(diags));
   for (const Diagnostic& d : diags)
-    if (d.rule == "exec.cache-size-bounds")
+    if (d.rule == "exec.cache-size-bounds") {
       EXPECT_EQ(d.severity, Severity::kWarning);
+    }
 }
 
 // --------------------------------------- shipped designs stay clean

@@ -124,6 +124,8 @@ TEST(ArtifactIoTest, WriteReadRoundTrip) {
   EXPECT_TRUE(loaded.partial);
   EXPECT_EQ(loaded.pblock.col_lo, 8);
   EXPECT_EQ(loaded.words, pbs.words);
+  EXPECT_EQ(loaded.rle, pbs.rle);
+  EXPECT_EQ(loaded.word_count, pbs.word_count);
   EXPECT_EQ(loaded.crc, pbs.crc);
   std::remove(path.c_str());
 }

@@ -136,8 +136,9 @@ TEST(TraceSessionTest, ConcurrentEmittersLoseNothing) {
   std::vector<std::uint64_t> last_seq(kThreads + 1, 0);
   for (const TraceEvent& event : report.events) {
     ASSERT_LT(event.tid, last_seq.size());
-    if (last_seq[event.tid] != 0)
+    if (last_seq[event.tid] != 0) {
       EXPECT_GT(event.seq, last_seq[event.tid]);
+    }
     last_seq[event.tid] = event.seq;
   }
 }

@@ -28,9 +28,12 @@
 #              seed). presp-flow builds soc_{x,y,z} with --out twice, on a
 #              cold and then a warm flow cache; the sha256 of every
 #              partial bitstream and floorplan JSON it writes must match
-#              tests/golden/flow_artifacts.sha256 both times. To
-#              regenerate, copy those files over tests/golden/ and name
-#              the diff in CHANGES.md
+#              tests/golden/flow_artifacts.sha256 both times, and the
+#              warm pass's --cache-stats must report 0 misses and 0
+#              poisoned for each SoC (a warm pass that rejected its
+#              entries would rebuild them cold and write the same
+#              bytes). To regenerate, copy those files over
+#              tests/golden/ and name the diff in CHANGES.md
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
 #   tsan       ThreadSanitizer build running the exec unit tests
 #              (the owner-vs-thieves deque fan-out at pool widths 2/4/8,
@@ -249,13 +252,17 @@ bench_ablation_model bench_ablation_strategy"
 
 # Runs presp-flow on soc_{x,y,z} with --out into a fresh $2 against the
 # flow cache in $1, and prints the sha256 of every artifact, by name.
+# Each run's --cache-stats line, prefixed by its SoC, goes to
+# $2.cache_stats.
 flow_artifact_digests() {
-  rm -rf "$2"
+  rm -rf "$2" "$2.cache_stats"
   mkdir -p "$2"
   for soc in soc_x soc_y soc_z; do
     "$BUILD_DIR/tools/presp-flow" "examples/configs/$soc.esp_config" \
-        --out "$2" --cache-dir "$1" >/dev/null
+        --out "$2" --cache-dir "$1" --cache-stats > "$2.log"
+    grep '^cache ' "$2.log" | sed "s/^/$soc /" >> "$2.cache_stats"
   done
+  rm -f "$2.log"
   (cd "$2" && sha256sum -- *.pbs *.floorplan.json) | LC_ALL=C sort -k 2
 }
 
@@ -288,8 +295,17 @@ stage_golden() {
       > "$FLOW_DIR/flow_artifacts_warm.sha256"
   diff -u tests/golden/flow_artifacts.sha256 \
       "$FLOW_DIR/flow_artifacts_warm.sha256"
+  # Identical bytes alone do not show the warm pass used its cache.
+  warm_hits=$(grep -c ', 0 misses, .*, 0 poisoned,' \
+      "$FLOW_DIR/warm.cache_stats" || true)
+  [ "$warm_hits" -eq 3 ] || {
+    cat "$FLOW_DIR/warm.cache_stats"
+    echo "tier-1: the warm flow pass missed or rejected cache entries" >&2
+    return 1
+  }
   diff -u -r tests/golden "$GOLDEN_OUT"
-  echo "tier-1 golden: $(ls "$GOLDEN_OUT" | wc -l) outputs match tests/golden"
+  echo "tier-1 golden: $(ls "$GOLDEN_OUT" | wc -l) outputs match" \
+      "tests/golden; warm flow pass all hits on $warm_hits SoCs"
 }
 
 stage_asan() {
