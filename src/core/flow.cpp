@@ -371,12 +371,12 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
     }
 
     const trace::TraceScope span(trace::Category::kFlow, "flow:pnr");
-    // The P&R task graph mirrors the chosen schedule: the static run
-    // gates everything (partition runs negotiate against its routing
-    // state); each Table-I group is a serial chain of in-context member
-    // runs ("one Vivado instance"); the tau groups run concurrently.
-    // run_partition copies the static routing state, so every member sees
-    // the identical context regardless of interleaving.
+    // The host P&R graph is the static run plus a flat fan-out of member
+    // runs, whatever the strategy: run_partition copies the static routing
+    // state, so once the static run is done every member is independent
+    // and sees the identical context regardless of interleaving. The
+    // paper's serial / semi-parallel / fully-parallel schedule is a model
+    // of Vivado instances and lives in evaluate_schedule above.
     if (static_pnr_hit) {
       run_ok[kStaticSlot] = static_pnr_hit->ok ? 1 : 0;
       run_fmax[kStaticSlot] = static_pnr_hit->fmax_mhz;
@@ -403,52 +403,47 @@ FlowResult PrEspFlow::run(const netlist::SocConfig& config) const {
           },
           {}, std::numeric_limits<int>::max());
 
-    for (const auto& group : result.decision.groups) {
-      long long group_luts = 0;
-      for (const std::size_t j : group) group_luts += jobs[j].luts;
-      std::optional<exec::TaskId> prev = static_task;
-      for (const std::size_t j : group) {
-        if (module_hits[j]) continue;  // cached member: not in the chain
-        std::vector<exec::TaskId> deps;
-        if (prev) deps.push_back(*prev);
-        prev = pnr_graph.add(
-            "pnr:" + jobs[j].module,
-            [&, j] {
-              ModuleImplementation& impl = result.modules[j];
-              const synth::Checkpoint& ooc = ooc_ckpts[j];
-              impl.utilization = ooc.utilization;
-              const fabric::Pblock& pblock =
-                  result.plan.pblocks[static_cast<std::size_t>(
-                      jobs[j].partition_index)];
-              const pnr::PnrRun run =
-                  engine.run_partition(ooc, pblock, static_state);
-              impl.routed = run.success();
-              run_ok[j] = impl.routed ? 1 : 0;
-              run_fmax[j] = run.route.achieved_fmax_mhz;
-              // One emitter pass gives the stream every consumer reads:
-              // the sizes, the `.pbs` and the cache entry.
-              bitstream::Bitstream pbs;
-              {
-                const trace::TraceScope bitgen_span(trace::Category::kFlow,
-                                                    "bitgen:partial");
-                pbs = bitgen.partial_stream(config.name, jobs[j].module,
-                                            pblock, ooc.netlist,
-                                            run.place.placement);
-              }
-              impl.pbs_raw_bytes = pbs.raw_bytes();
-              impl.pbs_compressed_bytes = pbs.compressed_bytes();
-              if (!options_.artifacts_dir.empty()) {
-                const trace::TraceScope write_span(trace::Category::kFlow,
-                                                   "bitgen:write");
-                bitstream::write_bitstream(
-                    pbs, options_.artifacts_dir + "/" +
-                             bitstream::pbs_filename(
-                                 config.name, impl.partition, jobs[j].module));
-              }
-              if (cache) fresh[j].pbs = std::move(pbs);
-            },
-            std::move(deps), lut_priority(group_luts));
-      }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (module_hits[j]) continue;  // cached member: not in the graph
+      std::vector<exec::TaskId> deps;
+      if (static_task) deps.push_back(*static_task);
+      pnr_graph.add(
+          "pnr:" + jobs[j].module,
+          [&, j] {
+            ModuleImplementation& impl = result.modules[j];
+            const synth::Checkpoint& ooc = ooc_ckpts[j];
+            impl.utilization = ooc.utilization;
+            const fabric::Pblock& pblock =
+                result.plan.pblocks[static_cast<std::size_t>(
+                    jobs[j].partition_index)];
+            const pnr::PnrRun run =
+                engine.run_partition(ooc, pblock, static_state);
+            impl.routed = run.success();
+            run_ok[j] = impl.routed ? 1 : 0;
+            run_fmax[j] = run.route.achieved_fmax_mhz;
+            // One emitter pass gives the stream every consumer reads:
+            // the sizes, the `.pbs` and the cache entry.
+            bitstream::Bitstream pbs;
+            {
+              const trace::TraceScope bitgen_span(trace::Category::kFlow,
+                                                  "bitgen:partial");
+              pbs = bitgen.partial_stream(config.name, jobs[j].module,
+                                          pblock, ooc.netlist,
+                                          run.place.placement);
+            }
+            impl.pbs_raw_bytes = pbs.raw_bytes();
+            impl.pbs_compressed_bytes = pbs.compressed_bytes();
+            if (!options_.artifacts_dir.empty()) {
+              const trace::TraceScope write_span(trace::Category::kFlow,
+                                                 "bitgen:write");
+              bitstream::write_bitstream(
+                  pbs, options_.artifacts_dir + "/" +
+                           bitstream::pbs_filename(
+                               config.name, impl.partition, jobs[j].module));
+            }
+            if (cache) fresh[j].pbs = std::move(pbs);
+          },
+          std::move(deps), lut_priority(jobs[j].luts));
     }
     pnr_graph.run(pool.get());
     result.exec.tasks += pnr_graph.size();

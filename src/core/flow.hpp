@@ -89,10 +89,14 @@ struct FlowExecReport {
   std::uint64_t parks = 0;
   /// High-water mark of the pool's pending-task count.
   std::uint64_t max_queue_depth = 0;
-  /// busy / wall: the speedup this schedule actually achieved.
+  /// busy / wall: the speedup the host task graphs achieved on the pool.
+  /// The host P&R graph is `pnr:static` plus a flat member fan-out for
+  /// every strategy, so this follows the pool width, not the strategy.
   double measured_speedup = 1.0;
-  /// Model cross-check: predicted serial P&R minutes over the predicted
-  /// minutes of the chosen schedule (1.0 for the serial strategy).
+  /// The modeled Vivado speedup: predicted serial P&R minutes over the
+  /// predicted minutes of the chosen schedule (1.0 for the serial
+  /// strategy), from evaluate_schedule. It does not cross-check
+  /// busy / wall, since the host graph does not copy the schedule.
   double model_speedup = 1.0;
 };
 

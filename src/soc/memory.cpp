@@ -14,7 +14,8 @@ std::uint64_t MainMemory::allocate(const std::string& name,
   PRESP_REQUIRE(regions_.find(name) == regions_.end(),
                 "region '" + name + "' already allocated");
   const std::uint64_t base = (next_free_ + 63) & ~std::uint64_t{63};
-  if (base + bytes > data_.size())
+  // Written as a difference so a huge request cannot wrap past the check.
+  if (base > data_.size() || bytes > data_.size() - base)
     throw InvalidArgument("out of modeled DRAM allocating '" + name + "'");
   next_free_ = base + bytes;
   regions_[name] = {base, bytes};
@@ -35,13 +36,15 @@ std::size_t MainMemory::region_size(const std::string& name) const {
 
 std::span<std::uint8_t> MainMemory::bytes(std::uint64_t addr,
                                           std::size_t len) {
-  PRESP_REQUIRE(addr + len <= data_.size(), "memory access out of range");
+  PRESP_REQUIRE(addr <= data_.size() && len <= data_.size() - addr,
+                "memory access out of range");
   return {data_.data() + addr, len};
 }
 
 std::span<const std::uint8_t> MainMemory::bytes(std::uint64_t addr,
                                                 std::size_t len) const {
-  PRESP_REQUIRE(addr + len <= data_.size(), "memory access out of range");
+  PRESP_REQUIRE(addr <= data_.size() && len <= data_.size() - addr,
+                "memory access out of range");
   return {data_.data() + addr, len};
 }
 

@@ -26,7 +26,8 @@ const auto* const kEnv =
 
 // ---------------------------------------------------------------- flow
 
-core::FlowResult run_flow(char soc, int exec_threads) {
+core::FlowResult run_flow(const netlist::SocConfig& config,
+                          int exec_threads) {
   const auto device = fabric::Device::vc707();
   const auto lib = wami::wami_library();
   core::FlowOptions opt;
@@ -36,7 +37,7 @@ core::FlowResult run_flow(char soc, int exec_threads) {
   opt.pnr.placer.moves_per_cell = 1;
   opt.floorplan.refine_iterations = 30;
   const core::PrEspFlow flow(device, lib, opt);
-  return flow.run(wami::table4_soc(soc));
+  return flow.run(config);
 }
 
 void expect_flow_results_identical(const core::FlowResult& a,
@@ -66,12 +67,12 @@ void expect_flow_results_identical(const core::FlowResult& a,
 }
 
 TEST(FlowDeterminism, IdenticalResultsAtOneTwoAndEightThreads) {
-  // SoC_A selects the fully-parallel strategy: the P&R graph has real
-  // fan-out, so this exercises concurrent partition runs, not just
-  // concurrent synthesis.
-  const auto serial = run_flow('A', 1);
-  const auto two = run_flow('A', 2);
-  const auto eight = run_flow('A', 8);
+  // SoC_A selects the fully-parallel strategy; its member P&R runs, like
+  // its synthesis runs, execute concurrently on the pool.
+  const auto soc_a = wami::table4_soc('A');
+  const auto serial = run_flow(soc_a, 1);
+  const auto two = run_flow(soc_a, 2);
+  const auto eight = run_flow(soc_a, 8);
   ASSERT_TRUE(serial.physical_ok);
   expect_flow_results_identical(serial, two);
   expect_flow_results_identical(serial, eight);
@@ -84,13 +85,34 @@ TEST(FlowDeterminism, IdenticalResultsAtOneTwoAndEightThreads) {
   EXPECT_GE(eight.exec.model_speedup, 1.0);
 }
 
-TEST(FlowDeterminism, SerialStrategyChainStaysSerialButIdentical) {
-  // SoC_B selects the serial strategy: the P&R graph is one chain, so the
-  // pool adds no parallelism — results must still match exactly.
-  const auto serial = run_flow('B', 1);
-  const auto pooled = run_flow('B', 4);
-  ASSERT_TRUE(serial.physical_ok);
-  expect_flow_results_identical(serial, pooled);
+TEST(FlowDeterminism, SerialAndSemiParallelMembersFanOutIdentically) {
+  // The host P&R graph is static plus one task per member whatever the
+  // modeled strategy, so the members of a serial (SoC_B) and a
+  // semi-parallel (Table VI SoC_Y, tau=2) SoC run concurrently too. The
+  // pool must still not change a bit of the result.
+  struct Case {
+    netlist::SocConfig config;
+    core::Strategy strategy;
+    int tau;
+  };
+  const Case cases[] = {
+      {wami::table4_soc('B'), core::Strategy::kSerial, 1},
+      {wami::table6_soc('Y'), core::Strategy::kSemiParallel, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.config.name);
+    const auto serial = run_flow(c.config, 1);
+    ASSERT_TRUE(serial.physical_ok);
+    EXPECT_EQ(serial.decision.strategy, c.strategy);
+    EXPECT_EQ(serial.decision.tau, c.tau);
+    for (const int threads : {2, 8}) {
+      const auto pooled = run_flow(c.config, threads);
+      expect_flow_results_identical(serial, pooled);
+      EXPECT_EQ(pooled.exec.threads, threads);
+      // static synth + per-member synth + static P&R + per-member P&R.
+      EXPECT_EQ(pooled.exec.tasks, 2 * serial.modules.size() + 2);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- wami

@@ -198,6 +198,12 @@ TEST(SnapshotUnderMutationTest, MetricsRegistrySnapshotsStayConsistent) {
   constexpr int kWriters = 4;
   constexpr int kIncrements = 5'000;
   std::atomic<bool> stop{false};
+  // Registered before any thread starts, so the reader's first snapshot
+  // already holds every metric (an empty registry prints no `presp_` line).
+  // The writers still look their metrics up concurrently.
+  registry.counter("ops.test.counter");
+  registry.gauge("ops.test.depth");
+  registry.histogram("ops.test.lat");
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {

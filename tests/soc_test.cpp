@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "soc/soc.hpp"
 #include "util/error.hpp"
 
@@ -274,6 +276,20 @@ TEST(MemoryTest, RegionAllocationAndBounds) {
   EXPECT_THROW(mem.allocate("c", 2 << 20), InvalidArgument);  // too big
   EXPECT_THROW(mem.bytes(1 << 20, 1), InvalidArgument);
   EXPECT_THROW(mem.region("nope"), InvalidArgument);
+}
+
+TEST(MemoryTest, BoundsChecksDoNotWrapNearTheTopOfTheAddressSpace) {
+  MainMemory mem(MemoryOptions{1 << 16, 28, 8});
+  const MainMemory& cmem = mem;
+  // addr + len wraps to a small value here; the checks must not.
+  EXPECT_THROW(mem.bytes(~0ull - 1, 4), InvalidArgument);
+  EXPECT_THROW(cmem.bytes(~0ull - 1, 4), InvalidArgument);
+  EXPECT_THROW(mem.read_u32(~0ull - 2), InvalidArgument);
+  EXPECT_THROW(mem.write_u32(~0ull - 2, 1), InvalidArgument);
+  mem.allocate("a", 64);
+  EXPECT_THROW(mem.allocate("x", SIZE_MAX), InvalidArgument);
+  // The failed allocation left the allocator usable.
+  EXPECT_NO_THROW(mem.allocate("y", 64));
 }
 
 TEST(MemoryTest, WordAccessRoundTrip) {

@@ -26,7 +26,8 @@
 #              the stage on any changed byte, and so does a soak's own
 #              failure (an acceptance check, or a replay mismatch on any
 #              seed). presp-flow builds soc_{x,y,z} with --out twice, on a
-#              cold and then a warm flow cache; the sha256 of every
+#              cold flow cache with --threads 4 and then serially on the
+#              warm cache; the sha256 of every
 #              partial bitstream and floorplan JSON it writes must match
 #              tests/golden/flow_artifacts.sha256 both times, and the
 #              warm pass's --cache-stats must report 0 misses and 0
@@ -250,20 +251,26 @@ bench_table5_vs_monolithic bench_table6_bitstreams bench_fig3_profiles \
 bench_fig4_wami_socs bench_ablation_runtime bench_ablation_devices \
 bench_ablation_model bench_ablation_strategy"
 
-# Runs presp-flow on soc_{x,y,z} with --out into a fresh $2 against the
-# flow cache in $1, and prints the sha256 of every artifact, by name.
-# Each run's --cache-stats line, prefixed by its SoC, goes to
-# $2.cache_stats.
+# flow_artifact_digests <cache dir> <out dir> [presp-flow options...]
+# Runs presp-flow on soc_{x,y,z} with --out into a fresh <out dir> against
+# the flow cache in <cache dir>, passing any further options through, and
+# prints the sha256 of every artifact, by name. Each run's --cache-stats
+# line, prefixed by its SoC, goes to <out dir>.cache_stats.
 flow_artifact_digests() {
-  rm -rf "$2" "$2.cache_stats"
-  mkdir -p "$2"
+  cache_dir=$1
+  out_dir=$2
+  shift 2
+  rm -rf "$out_dir" "$out_dir.cache_stats"
+  mkdir -p "$out_dir"
   for soc in soc_x soc_y soc_z; do
     "$BUILD_DIR/tools/presp-flow" "examples/configs/$soc.esp_config" \
-        --out "$2" --cache-dir "$1" --cache-stats > "$2.log"
-    grep '^cache ' "$2.log" | sed "s/^/$soc /" >> "$2.cache_stats"
+        --out "$out_dir" --cache-dir "$cache_dir" --cache-stats "$@" \
+        > "$out_dir.log"
+    grep '^cache ' "$out_dir.log" | sed "s/^/$soc /" \
+        >> "$out_dir.cache_stats"
   done
-  rm -f "$2.log"
-  (cd "$2" && sha256sum -- *.pbs *.floorplan.json) | LC_ALL=C sort -k 2
+  rm -f "$out_dir.log"
+  (cd "$out_dir" && sha256sum -- *.pbs *.floorplan.json) | LC_ALL=C sort -k 2
 }
 
 stage_golden() {
@@ -285,11 +292,12 @@ stage_golden() {
   # Their stdout names the --json path, so only the reports are compared.
   "$SOAK" fleet 1 1 200 --json "$GOLDEN_OUT/soak_fleet.json"
   "$SOAK" defrag 1 1 150 --json "$GOLDEN_OUT/soak_defrag.json"
-  # Cold build into an empty cache, then a warm rebuild from it: both
-  # must write byte-identical partials and floorplans.
+  # Cold build into an empty cache on a 4-thread pool, then a serial
+  # warm rebuild from it: both must write byte-identical partials and
+  # floorplans, so pool width cannot change an artifact byte.
   FLOW_DIR="$BUILD_DIR/golden_flow"
   rm -rf "$FLOW_DIR"
-  flow_artifact_digests "$FLOW_DIR/cache" "$FLOW_DIR/cold" \
+  flow_artifact_digests "$FLOW_DIR/cache" "$FLOW_DIR/cold" --threads 4 \
       > "$GOLDEN_OUT/flow_artifacts.sha256"
   flow_artifact_digests "$FLOW_DIR/cache" "$FLOW_DIR/warm" \
       > "$FLOW_DIR/flow_artifacts_warm.sha256"
