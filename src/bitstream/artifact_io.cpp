@@ -1,5 +1,6 @@
 #include "bitstream/artifact_io.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -131,7 +132,51 @@ std::uint64_t fnv1a64(const std::string& text) {
 }
 
 namespace {
-constexpr char kCacheMagic[4] = {'P', 'F', 'C', '1'};
+/// Odd, so each lane step is invertible in both the state and the lane.
+constexpr std::uint64_t kLaneMul = 0x9E3779B97F4A7C15ull;
+
+/// Xors one lane into the state, multiplies (carrying each bit upward)
+/// and folds the high half down (so the next multiply carries the top
+/// bits too). For a fixed state the step is a bijection of the lane, so
+/// two payloads of one length that differ in one lane always hash apart.
+constexpr std::uint64_t lane_step(std::uint64_t h, std::uint64_t lane) {
+  h = (h ^ lane) * kLaneMul;
+  return h ^ (h >> 32);
+}
+}  // namespace
+
+std::uint64_t blob_hash64(const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint64_t h = 0xcbf29ce484222325ull ^ static_cast<std::uint64_t>(size);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t lane = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&lane, bytes + i, sizeof(lane));
+    } else {
+      for (int b = 0; b < 8; ++b)
+        lane |= static_cast<std::uint64_t>(bytes[i + b]) << (8 * b);
+    }
+    h = lane_step(h, lane);
+  }
+  for (; i < size; ++i) h = lane_step(h, bytes[i]);
+  // Finalizer (MurmurHash3's fmix64): the last lane's bits reach every
+  // output bit.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
+
+std::uint64_t blob_hash64(const std::string& payload) {
+  return blob_hash64(payload.data(), payload.size());
+}
+
+namespace {
+constexpr char kCacheMagic[4] = {'P', 'F', 'C', '2'};
+/// magic | kind | key | payload_hash | payload_len.
+constexpr std::uint64_t kCacheHeaderBytes = 4 + 4 + 8 + 8 + 8;
 /// Cache payloads are bounded: the largest entry (a static stage with its
 /// routing-state vector) stays well under this on any modeled device.
 constexpr std::uint64_t kMaxCachePayload = 1ull << 28;  // 256 MiB
@@ -146,7 +191,7 @@ void write_cache_blob(const CacheBlob& blob, const std::string& path) {
     out.write(kCacheMagic, sizeof(kCacheMagic));
     put<std::uint32_t>(out, blob.kind);
     put<std::uint64_t>(out, blob.key);
-    put<std::uint64_t>(out, fnv1a64(blob.payload));
+    put<std::uint64_t>(out, blob_hash64(blob.payload));
     put<std::uint64_t>(out, static_cast<std::uint64_t>(blob.payload.size()));
     out.write(blob.payload.data(),
               static_cast<std::streamsize>(blob.payload.size()));
@@ -160,13 +205,15 @@ void write_cache_blob(const CacheBlob& blob, const std::string& path) {
 
 CacheBlob read_cache_blob(const std::string& path,
                           std::uint64_t expected_key) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in)
     throw InvalidArgument("cannot read cache blob from '" + path + "'");
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kCacheMagic, sizeof(kCacheMagic)) != 0)
-    throw InvalidArgument("'" + path + "' is not a PFC1 cache blob");
+    throw InvalidArgument("'" + path + "' is not a PFC2 cache blob");
   CacheBlob blob;
   blob.kind = get<std::uint32_t>(in);
   blob.key = get<std::uint64_t>(in);
@@ -175,6 +222,11 @@ CacheBlob read_cache_blob(const std::string& path,
   if (payload_len > kMaxCachePayload)
     throw InvalidArgument("implausible cache payload size in '" + path +
                           "'");
+  // The header is trusted only as far as the file goes: the payload is
+  // exactly the bytes after it, checked before anything is allocated.
+  if (payload_len != file_bytes - kCacheHeaderBytes)
+    throw InvalidArgument("cache blob '" + path +
+                          "' is not as long as its header declares");
   if (blob.key != expected_key)
     throw Error("cache blob key mismatch in '" + path +
                 "' (stale or mis-filed entry)");
@@ -182,7 +234,7 @@ CacheBlob read_cache_blob(const std::string& path,
   in.read(blob.payload.data(),
           static_cast<std::streamsize>(blob.payload.size()));
   if (!in) throw InvalidArgument("truncated cache blob '" + path + "'");
-  if (fnv1a64(blob.payload) != payload_hash)
+  if (blob_hash64(blob.payload) != payload_hash)
     throw Error("cache blob payload hash mismatch in '" + path +
                 "' (corrupt entry)");
   return blob;

@@ -9,7 +9,7 @@
 //   compressed words (RLE stream; see bitstream.hpp)
 // The fields after the pblock are the Bitstream's own `crc`, `word_count`
 // and `rle`: writing never compresses or decodes. `crc` is crc32 of the
-// decoded words; the PFC1 module payload below stores the same stream and
+// decoded words; the PFC2 module payload below stores the same stream and
 // CRC.
 #pragma once
 
@@ -41,17 +41,28 @@ std::string pbs_filename(const std::string& design,
 // Container format for the content-hashed flow artifact cache (see
 // core/flow_cache.hpp). One blob per cache entry, little-endian:
 //
-//   magic "PFC1" | u32 kind | u64 key | u64 payload_hash (FNV-1a over
-//   the payload bytes) | u64 payload_len | payload bytes
+//   magic "PFC2" | u32 kind | u64 key | u64 payload_hash (blob_hash64
+//   over the payload bytes) | u64 payload_len | payload bytes
 //
-// read_cache_blob() re-derives the payload hash and cross-checks both it
-// and the expected key, so a truncated, bit-flipped or mis-keyed file is
-// rejected (throws) instead of poisoning a flow run.
+// read_cache_blob() checks the declared length against the file before it
+// allocates, re-derives the payload hash and cross-checks both it and the
+// expected key, so a truncated, bit-flipped or mis-keyed file is rejected
+// (throws) instead of poisoning a flow run. PFC1, the previous format,
+// hashed its payload with byte-wise FNV-1a; a PFC1 file fails the magic
+// check.
 
-/// 64-bit FNV-1a over arbitrary bytes; the cache's one hash primitive
-/// (keys hash canonical key strings, blobs hash their payload).
+/// 64-bit FNV-1a over arbitrary bytes, one byte per step: the cache's key
+/// hash (keys hash short canonical key strings).
 std::uint64_t fnv1a64(const void* data, std::size_t size);
 std::uint64_t fnv1a64(const std::string& text);
+
+/// The PFC2 payload hash: one 8-byte little-endian lane per step (xor,
+/// multiply, xor-shift fold), the last size % 8 bytes one per step, then
+/// a finalizer. The value is the same on any host endianness. Every input
+/// bit reaches every output bit: in a word-wide FNV-1a a lane's bit 63
+/// only ever reaches bit 63, so two such flips cancel.
+std::uint64_t blob_hash64(const void* data, std::size_t size);
+std::uint64_t blob_hash64(const std::string& payload);
 
 struct CacheBlob {
   std::uint32_t kind = 0;  // entry schema tag (flow_cache.hpp enumerates)
@@ -63,8 +74,9 @@ struct CacheBlob {
 /// leave a half-entry behind. Throws InvalidArgument on I/O errors.
 void write_cache_blob(const CacheBlob& blob, const std::string& path);
 
-/// Reads and verifies a blob. Throws InvalidArgument on malformed or
-/// truncated files and Error on key/payload-hash mismatch (corruption).
+/// Reads and verifies a blob. Throws InvalidArgument on malformed files
+/// (bad magic, a length other than the file holds) and Error on
+/// key/payload-hash mismatch (corruption).
 CacheBlob read_cache_blob(const std::string& path,
                           std::uint64_t expected_key);
 

@@ -39,80 +39,75 @@ constexpr std::uint32_t crc_word(std::uint32_t crc, std::uint32_t word) {
          t[0][x >> 24];
 }
 
-/// Feeding zero bytes maps the CRC register linearly over GF(2), so the
-/// register after n zero words is the xor of one lookup per register byte.
-/// kZeroTables[k] holds that map for n = 2^k; a run of any 32-bit length
-/// is one lookup group per set bit of its length.
-using ZeroTable = std::array<std::array<std::uint32_t, 256>, 4>;
-using ZeroTables = std::array<ZeroTable, 32>;
-
-constexpr std::uint32_t advance_zeros(const ZeroTable& z, std::uint32_t crc) {
-  return z[0][crc & 0xFF] ^ z[1][(crc >> 8) & 0xFF] ^
-         z[2][(crc >> 16) & 0xFF] ^ z[3][crc >> 24];
-}
-
-constexpr ZeroTables make_zero_tables() {
-  ZeroTables z{};
-  for (std::uint32_t byte = 0; byte < 4; ++byte)
-    for (std::uint32_t i = 0; i < 256; ++i)
-      z[0][byte][i] = crc_word(i << (8 * byte), 0);
-  for (std::size_t k = 1; k < z.size(); ++k)
-    for (std::size_t byte = 0; byte < 4; ++byte)
-      for (std::size_t i = 0; i < 256; ++i)
-        z[k][byte][i] = advance_zeros(z[k - 1], z[k - 1][byte][i]);
-  return z;
-}
-
-constexpr ZeroTables kZeroTables = make_zero_tables();
-
-/// Advances a CRC register over `run` zero words: one zero-table lookup
-/// group per set bit of the run length.
-std::uint32_t advance_zero_run(std::uint32_t crc, std::uint32_t run) {
-  for (std::size_t k = 0; run != 0; ++k, run >>= 1)
-    if (run & 1u) crc = advance_zeros(kZeroTables[k], crc);
+/// Advances a CRC register over `n` consecutive words: slicing-by-8, two
+/// words per step, and a one-word step for an odd last word.
+std::uint32_t crc_run(std::uint32_t crc, const std::uint32_t* words,
+                      std::size_t n) {
+  const auto& t = kCrcTables;
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2) {
+    const std::uint32_t lo = words[i] ^ crc;
+    const std::uint32_t hi = words[i + 1];
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  if (i < n) crc = crc_word(crc, words[i]);
   return crc;
 }
 
-/// Writes an RLE stream word by word, with its word count and CRC. A
-/// literal goes straight to the stream; a zero only lengthens a pending run,
-/// which is written (in pieces of at most 0xFFFFFFFF, as rle_compress
-/// splits it) when the next literal or the end arrives.
-class RleEmitter {
- public:
-  explicit RleEmitter(std::vector<std::uint32_t>& stream) : stream_(stream) {}
+/// Feeding zero bytes maps the CRC register linearly over GF(2), so the
+/// register after n zero words is the xor of one lookup per register
+/// nibble. A ZeroMap holds that map as eight 16-entry tables (512 bytes).
+using ZeroMap = std::array<std::array<std::uint32_t, 16>, 8>;
+/// kZeroMaps[p][v] advances the register over v * 16^p zero words; v = 0
+/// is the identity. A run of any 32-bit length is one map per nibble of
+/// its length, up to its highest non-zero nibble. The maps for runs below
+/// 4096 words, what a partial's zero runs almost always are, take 24 KB,
+/// so each step is eight independent L1 lookups.
+using ZeroMaps = std::array<std::array<ZeroMap, 16>, 8>;
 
-  void literal(std::uint32_t word) {
-    flush();
-    stream_.push_back(word);
-    crc_ = crc_word(crc_, word);
-    ++words_;
+constexpr std::uint32_t advance_zeros(const ZeroMap& m, std::uint32_t crc) {
+  return m[0][crc & 0xF] ^ m[1][(crc >> 4) & 0xF] ^ m[2][(crc >> 8) & 0xF] ^
+         m[3][(crc >> 12) & 0xF] ^ m[4][(crc >> 16) & 0xF] ^
+         m[5][(crc >> 20) & 0xF] ^ m[6][(crc >> 24) & 0xF] ^ m[7][crc >> 28];
+}
+
+/// The map of `outer` after `inner`: by linearity, each entry is `outer`
+/// applied to `inner`'s entry.
+constexpr ZeroMap compose(const ZeroMap& outer, const ZeroMap& inner) {
+  ZeroMap m{};
+  for (std::size_t n = 0; n < 8; ++n)
+    for (std::size_t i = 0; i < 16; ++i)
+      m[n][i] = advance_zeros(outer, inner[n][i]);
+  return m;
+}
+
+constexpr ZeroMaps make_zero_maps() {
+  ZeroMaps z{};
+  for (std::uint32_t n = 0; n < 8; ++n)
+    for (std::uint32_t i = 0; i < 16; ++i)
+      z[0][1][n][i] = crc_word(i << (4 * n), 0);  // one zero word
+  for (std::size_t p = 0; p < 8; ++p) {
+    for (std::uint32_t n = 0; n < 8; ++n)
+      for (std::uint32_t i = 0; i < 16; ++i) z[p][0][n][i] = i << (4 * n);
+    // 16^p zero words: sixteen steps of the previous position.
+    if (p > 0) z[p][1] = compose(z[p - 1][15], z[p - 1][1]);
+    for (std::size_t v = 2; v < 16; ++v)
+      z[p][v] = compose(z[p][1], z[p][v - 1]);
   }
-  void zero() { ++pending_; }
+  return z;
+}
 
-  /// Flushes the pending run and returns {word count, CRC}.
-  RleCheck finish() {
-    flush();
-    return {words_, crc_ ^ 0xFFFFFFFFu};
-  }
+constexpr ZeroMaps kZeroMaps = make_zero_maps();
 
- private:
-  void flush() {
-    while (pending_ != 0) {
-      const auto run = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(pending_, 0xFFFFFFFFu));
-      stream_.push_back(0);
-      stream_.push_back(run);
-      crc_ = advance_zero_run(crc_, run);
-      words_ += run;
-      pending_ -= run;
-    }
-  }
-
-  std::vector<std::uint32_t>& stream_;
-  std::uint64_t words_ = 0;
-  std::uint64_t pending_ = 0;
-  std::uint32_t crc_ = 0xFFFFFFFFu;
-};
+/// Advances a CRC register over `run` zero words: one map per nibble of
+/// the run length, up to its highest non-zero nibble.
+std::uint32_t advance_zero_run(std::uint32_t crc, std::uint32_t run) {
+  for (std::size_t p = 0; run != 0; ++p, run >>= 4)
+    crc = advance_zeros(kZeroMaps[p][run & 0xF], crc);
+  return crc;
+}
 
 /// Fills `bs.words` from its stream: the decoded view.
 Bitstream decoded(Bitstream bs) {
@@ -123,22 +118,7 @@ Bitstream decoded(Bitstream bs) {
 }  // namespace
 
 std::uint32_t crc32(const std::vector<std::uint32_t>& words) {
-  const auto& t = kCrcTables;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  std::size_t i = 0;
-  for (; i + 1 < words.size(); i += 2) {
-    const std::uint32_t lo = words[i] ^ crc;
-    const std::uint32_t hi = words[i + 1];
-    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
-          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
-          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
-  }
-  if (i < words.size()) {
-    const std::uint32_t w = words[i];
-    for (int byte = 0; byte < 4; ++byte)
-      crc = t[0][(crc ^ (w >> (8 * byte))) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return crc_run(0xFFFFFFFFu, words.data(), words.size()) ^ 0xFFFFFFFFu;
 }
 
 std::vector<std::uint32_t> rle_compress(
@@ -165,26 +145,58 @@ std::vector<std::uint32_t> rle_compress(
 
 RleCheck rle_check(const std::vector<std::uint32_t>& stream,
                    std::uint64_t max_words) {
+  const std::uint32_t* const data = stream.data();
+  const std::size_t size = stream.size();
   std::uint64_t total = 0;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const std::uint32_t word = stream[i];
-    if (word != 0) {
-      PRESP_REQUIRE(total < max_words,
+  std::size_t i = 0;
+  while (i < size) {
+    if (data[i] != 0) {
+      // A run of literals: one bound check, one CRC pass.
+      std::size_t end = i + 1;
+      while (end < size && data[end] != 0) ++end;
+      PRESP_REQUIRE(end - i <= max_words - total,
                     "RLE stream overflows the declared payload size");
-      ++total;
-      crc = crc_word(crc, word);
+      crc = crc_run(crc, data + i, end - i);
+      total += end - i;
+      i = end;
       continue;
     }
-    PRESP_REQUIRE(i + 1 < stream.size(),
+    PRESP_REQUIRE(i + 1 < size,
                   "truncated RLE stream: zero marker without run length");
-    const std::uint32_t run = stream[++i];
+    const std::uint32_t run = data[i + 1];
     PRESP_REQUIRE(run <= max_words - total,
                   "RLE run overflows the declared payload size");
     total += run;
     crc = advance_zero_run(crc, run);
+    i += 2;
   }
   return {total, crc ^ 0xFFFFFFFFu};
+}
+
+RleCheck RleEmitter::finish() {
+  close_literals();
+  flush_zeros();
+  return {words_, crc_ ^ 0xFFFFFFFFu};
+}
+
+void RleEmitter::close_literals() {
+  crc_ = crc_run(crc_, stream_.data() + (stream_.size() - open_),
+                 static_cast<std::size_t>(open_));
+  words_ += open_;
+  open_ = 0;
+}
+
+void RleEmitter::flush_zeros() {
+  while (pending_ != 0) {
+    const auto run = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(pending_, 0xFFFFFFFFu));
+    stream_.push_back(0);
+    stream_.push_back(run);
+    crc_ = advance_zero_run(crc_, run);
+    words_ += run;
+    pending_ -= run;
+  }
 }
 
 RleDecoded rle_decode(const std::vector<std::uint32_t>& compressed,

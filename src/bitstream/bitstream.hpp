@@ -25,8 +25,8 @@ namespace presp::bitstream {
 
 /// CRC-32 (IEEE 802.3, reflected) over a word stream, each word fed low
 /// byte first; the configuration engine verifies it before activating a
-/// partial bitstream. Slicing-by-8 (two words per step, bytewise for an
-/// odd last word); bytes are taken from each word by shifts, so the value
+/// partial bitstream. Slicing-by-8 (two words per step, a one-word step for
+/// an odd last word); bytes are taken from each word by shifts, so the value
 /// is the same on any host endianness.
 std::uint32_t crc32(const std::vector<std::uint32_t>& words);
 
@@ -48,13 +48,47 @@ struct RleCheck {
 /// The one RLE verifier: one pass over the stream, no allocation.
 /// `max_words` is the payload's declared word count: a run or literal past
 /// it throws InvalidArgument, as does a zero marker without a run length;
-/// callers compare the returned count with the count they declared. The
-/// CRC takes each literal through a one-word slicing step and each zero
-/// run through zero-advance tables (one per power of two of zero words,
-/// applied once per set bit of the run length), so the zeros are never
-/// touched.
+/// callers compare the returned count with the count they declared. Each
+/// run of consecutive literals is bounds-checked once and CRCed in one
+/// slicing-by-8 pass (two words per step); each zero run goes through
+/// zero maps (one per nibble of the run length, each advancing the CRC
+/// over that many zero words), so the zeros are never touched.
 RleCheck rle_check(const std::vector<std::uint32_t>& stream,
                    std::uint64_t max_words);
+
+/// Writes an RLE stream word by word, with its word count and CRC: the
+/// generator's emitter. A literal (non-zero) goes straight onto the
+/// stream; the run of literals at the stream's end is CRCed in one pass
+/// when it closes. A zero only lengthens a pending run, written (in
+/// pieces of at most 0xFFFFFFFF, as rle_compress splits it) when the next
+/// literal or the end arrives.
+class RleEmitter {
+ public:
+  explicit RleEmitter(std::vector<std::uint32_t>& stream) : stream_(stream) {}
+
+  void literal(std::uint32_t word) {
+    if (pending_ != 0) flush_zeros();
+    stream_.push_back(word);
+    ++open_;
+  }
+  void zero() {
+    if (open_ != 0) close_literals();
+    ++pending_;
+  }
+
+  /// Closes the open run and returns {word count, CRC}.
+  RleCheck finish();
+
+ private:
+  void close_literals();
+  void flush_zeros();
+
+  std::vector<std::uint32_t>& stream_;
+  std::uint64_t words_ = 0;
+  std::uint64_t open_ = 0;     // literals at the stream's end, not yet CRCed
+  std::uint64_t pending_ = 0;  // zeros not yet written
+  std::uint32_t crc_ = 0xFFFFFFFFu;
+};
 
 /// An RLE stream decoded by rle_decode.
 struct RleDecoded {

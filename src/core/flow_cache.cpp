@@ -1,12 +1,14 @@
 #include "core/flow_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
 
 #include "bitstream/artifact_io.hpp"
+#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -54,13 +56,20 @@ void put_string(std::string& out, const std::string& s) {
   out.append(s);
 }
 
-/// Appends each word low byte first, into storage sized once.
+/// Appends each word low byte first, into storage sized once: one copy on
+/// a little-endian host, bytes by shifts elsewhere.
 void put_u32s(std::string& out, const std::vector<std::uint32_t>& words) {
   std::size_t at = out.size();
   out.resize(at + words.size() * 4);
-  for (const std::uint32_t w : words) {
-    for (int i = 0; i < 4; ++i) out[at + i] = static_cast<char>(w >> (8 * i));
-    at += 4;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!words.empty())
+      std::memcpy(out.data() + at, words.data(), words.size() * 4);
+  } else {
+    for (const std::uint32_t w : words) {
+      for (int i = 0; i < 4; ++i)
+        out[at + i] = static_cast<char>(w >> (8 * i));
+      at += 4;
+    }
   }
 }
 
@@ -101,17 +110,22 @@ class Reader {
     return static_cast<std::int32_t>(v);
   }
   std::uint32_t u32() { return static_cast<std::uint32_t>(i32()); }
-  /// `n` words with one bounds check for the whole run.
+  /// `n` words with one bounds check for the whole run: one copy on a
+  /// little-endian host, bytes by shifts elsewhere.
   std::vector<std::uint32_t> u32s(std::uint64_t n) {
     if (n > (data_.size() - pos_) / 4) throw Error("cache payload truncated");
     std::vector<std::uint32_t> words(static_cast<std::size_t>(n));
     const char* p = data_.data() + pos_;
-    for (std::uint32_t& w : words) {
-      w = 0;
-      for (int i = 0; i < 4; ++i)
-        w |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-             << (8 * i);
-      p += 4;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!words.empty()) std::memcpy(words.data(), p, words.size() * 4);
+    } else {
+      for (std::uint32_t& w : words) {
+        w = 0;
+        for (int i = 0; i < 4; ++i)
+          w |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
+               << (8 * i);
+        p += 4;
+      }
     }
     pos_ += words.size() * 4;
     return words;
@@ -328,10 +342,16 @@ std::optional<Entry> FlowCache::load(std::uint64_t key, std::uint32_t kind,
     return std::nullopt;
   }
   try {
-    const bitstream::CacheBlob blob = bitstream::read_cache_blob(path, key);
-    if (blob.kind != kind)
-      throw Error("cache entry kind mismatch (schema drift)");
-    Entry entry = decode(blob.payload);
+    const bitstream::CacheBlob blob = [&] {
+      const trace::TraceScope span(trace::Category::kFlow, "cache:read");
+      return bitstream::read_cache_blob(path, key);
+    }();
+    Entry entry = [&] {
+      const trace::TraceScope span(trace::Category::kFlow, "cache:verify");
+      if (blob.kind != kind)
+        throw Error("cache entry kind mismatch (schema drift)");
+      return decode(blob.payload);
+    }();
     // A hit only once the payload has decoded: a poisoned entry counts
     // as a miss alone.
     ++stats_.hits;

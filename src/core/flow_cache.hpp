@@ -9,7 +9,8 @@
 // constraints (pblock rectangles, floorplan/placer/router options), the
 // chosen strategy, and a tool-version tag — and persists the result
 // under a cache directory as hash-verified blobs (bitstream/artifact_io
-// `PFC1` format). A warm re-run that touches one accelerator therefore
+// `PFC2` format: a 64-bit payload hash taken one 8-byte lane per step).
+// A warm re-run that touches one accelerator therefore
 // reuses every other module's synthesized/routed artifacts and skips
 // their synthesis and in-context P&R entirely.
 //
@@ -31,7 +32,10 @@
 //
 // Changing a module's RTL inputs invalidates that module only; changing
 // the device, a constraint, the strategy or any tool version invalidates
-// everything downstream of it via the key chain.
+// everything downstream of it via the key chain. Entries written by an
+// older tool version (PFC1 blobs under `presp-flow-cache/1` keys) sit
+// under keys no probe asks for: they are never opened, count as misses
+// rather than poisoned entries, and age out through LRU eviction.
 //
 // Eviction is LRU by file modification time under a byte-size cap:
 // loads touch their entry, stores evict oldest-first until the cache
@@ -55,9 +59,9 @@
 namespace presp::core {
 
 /// Bump to invalidate every existing cache entry (algorithm changes in
-/// synth/, pnr/, floorplan/ or this file's serialization are the usual
-/// reasons).
-inline constexpr const char* kFlowCacheToolVersion = "presp-flow-cache/1";
+/// synth/, pnr/, floorplan/, this file's serialization or the blob
+/// format are the usual reasons). Version 2 moved to PFC2 blobs.
+inline constexpr const char* kFlowCacheToolVersion = "presp-flow-cache/2";
 
 struct FlowCacheOptions {
   std::string dir;  // empty = caching disabled
@@ -145,6 +149,8 @@ class FlowCache {
   std::string path_for(std::uint64_t key) const;
   /// Reads, verifies and decodes one entry. Counts a hit only when the
   /// decode succeeds; a corrupt entry is rejected as poisoned + miss.
+  /// Traced as `cache:read` (file read and blob hash) then `cache:verify`
+  /// (payload parse, and a module stream's rle_check).
   template <typename Entry>
   std::optional<Entry> load(std::uint64_t key, std::uint32_t kind,
                             Entry (*decode)(const std::string&));

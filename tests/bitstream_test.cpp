@@ -159,6 +159,75 @@ TEST(RleTest, OverflowingStreamsRejected) {
   EXPECT_EQ(rle_check({1u, 0u, 2u}, 10).word_count, 3u);
 }
 
+/// Literal runs of every length from 1 to 17 (each slicing-by-8 pair
+/// count with and without an odd tail), each between zero runs and at
+/// either end of the stream.
+std::vector<std::vector<std::uint32_t>> short_literal_run_payloads() {
+  presp::Rng rng(0x52554e53);
+  std::vector<std::vector<std::uint32_t>> payloads;
+  const auto literals = [&](std::vector<std::uint32_t>& words, int n) {
+    for (int i = 0; i < n; ++i)
+      words.push_back(static_cast<std::uint32_t>(rng.next_u64() | 1));
+  };
+  std::vector<std::uint32_t> all_lengths;
+  for (int n = 1; n <= 17; ++n) {
+    std::vector<std::uint32_t> words;
+    literals(words, n);  // a run at the start
+    words.insert(words.end(), 1 + rng.next_below(40), 0u);
+    literals(words, n);  // one between zero runs
+    words.insert(words.end(), 1 + rng.next_below(40), 0u);
+    literals(words, n);  // one at the end
+    payloads.push_back(words);
+    literals(all_lengths, n);
+    all_lengths.insert(all_lengths.end(), 1 + rng.next_below(3), 0u);
+  }
+  payloads.push_back(all_lengths);
+  return payloads;
+}
+
+TEST(RleTest, ShortLiteralRunsCheckToCrc32) {
+  for (const std::vector<std::uint32_t>& words :
+       short_literal_run_payloads()) {
+    const RleCheck check = rle_check(rle_compress(words), words.size());
+    EXPECT_EQ(check.word_count, words.size()) << words.size() << " words";
+    EXPECT_EQ(check.crc, crc32(words)) << words.size() << " words";
+    EXPECT_EQ(check.crc, reference_crc32(words)) << words.size() << " words";
+  }
+}
+
+TEST(RleTest, LiteralRunCrossingTheDeclaredCountThrows) {
+  // Three zeros, then eight literals: declaring 3 + k words for k < 8
+  // ends the payload k literals into the run.
+  const std::vector<std::uint32_t> stream{0u, 3u, 1u, 2u, 3u, 4u,
+                                          5u, 6u, 7u, 8u};
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    EXPECT_THROW(rle_check(stream, 3 + k), InvalidArgument) << k;
+    EXPECT_THROW(rle_decode(stream, 3 + k), InvalidArgument) << k;
+  }
+  EXPECT_EQ(rle_check(stream, 11).word_count, 11u);
+  // A run crossing it after an earlier run that fit.
+  EXPECT_THROW(rle_check({1u, 2u, 0u, 1u, 3u, 4u, 5u}, 5), InvalidArgument);
+  EXPECT_EQ(rle_check({1u, 2u, 0u, 1u, 3u, 4u, 5u}, 6).word_count, 6u);
+}
+
+TEST(RleTest, ZeroRunsSplitAnywhereCheckToOneCrc) {
+  // A run and the same zeros split into two runs advance the CRC through
+  // different zero maps, up to the top nibble of a 32-bit length.
+  for (const std::uint32_t run :
+       {2u, 17u, 0x100u, 0x1001u, 0x10000u, 0x123456u, 0x10000000u,
+        0x80000001u, 0xFFFFFFFFu}) {
+    const RleCheck whole = rle_check({7u, 0u, run, 9u}, 1ull << 33);
+    EXPECT_EQ(whole.word_count, 2ull + run);
+    for (const std::uint32_t first : {1u, run / 2, run - 1, run / 16 + 3}) {
+      if (first == 0 || first >= run) continue;
+      EXPECT_EQ(
+          rle_check({7u, 0u, first, 0u, run - first, 9u}, 1ull << 33).crc,
+          whole.crc)
+          << run << " split at " << first;
+    }
+  }
+}
+
 class BitstreamFixture : public ::testing::Test {
  protected:
   BitstreamFixture() : device_(fabric::Device::vc707()), gen_(device_) {}
@@ -397,6 +466,24 @@ TEST(EmitterTest, StreamEqualsCompressedReferenceOnRandomPlacements) {
   // inside one frame.
   EXPECT_GT(cell_spanning_runs, kCases);
   EXPECT_GT(frame_spanning_runs, kCases);
+}
+
+TEST(EmitterTest, ShortLiteralRunsEmitTheCompressedStreamAndCrc32) {
+  for (const std::vector<std::uint32_t>& words :
+       short_literal_run_payloads()) {
+    std::vector<std::uint32_t> stream;
+    RleEmitter out(stream);
+    for (const std::uint32_t w : words) {
+      if (w != 0)
+        out.literal(w);
+      else
+        out.zero();
+    }
+    const RleCheck sums = out.finish();
+    EXPECT_EQ(stream, rle_compress(words)) << words.size() << " words";
+    EXPECT_EQ(sums.word_count, words.size()) << words.size() << " words";
+    EXPECT_EQ(sums.crc, crc32(words)) << words.size() << " words";
+  }
 }
 
 TEST(EmitterTest, BlankIsOneZeroRun) {

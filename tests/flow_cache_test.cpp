@@ -1,10 +1,13 @@
-// Flow artifact cache: key derivation, blob round-trips, poisoned-entry
-// rejection, LRU eviction under the byte cap, and the end-to-end warm-run
-// contract (one modified member invalidates exactly that member).
+// Flow artifact cache: key derivation, the PFC2 blob hash and length
+// check, blob round-trips, old-format entries, poisoned-entry rejection,
+// LRU eviction under the byte cap, and the end-to-end warm-run contract
+// (one modified member invalidates exactly that member).
 #include "core/flow_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -15,9 +18,11 @@
 #include "core/reference_designs.hpp"
 #include "fabric/device.hpp"
 #include "netlist/soc_config.hpp"
+#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "wami/accelerators.hpp"
 
 namespace presp::core {
 namespace {
@@ -287,6 +292,201 @@ TEST(FlowCacheTest, FlippedRleLiteralFailsTheCrcCheck) {
   EXPECT_FALSE(fs::exists(victim));
 }
 
+// ---- the PFC2 blob format -------------------------------------------
+
+/// blob_hash64 with every lane assembled from its bytes by shifts: the
+/// value the word-wide hash must give on any host.
+std::uint64_t reference_blob_hash(const std::string& bytes) {
+  const auto step = [](std::uint64_t h, std::uint64_t lane) {
+    h = (h ^ lane) * 0x9E3779B97F4A7C15ull;
+    return h ^ (h >> 32);
+  };
+  std::uint64_t h = 0xcbf29ce484222325ull ^ bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t lane = 0;
+    for (int b = 0; b < 8; ++b)
+      lane |= static_cast<std::uint64_t>(
+                  static_cast<unsigned char>(bytes[i + b]))
+              << (8 * b);
+    h = step(h, lane);
+  }
+  for (; i < bytes.size(); ++i)
+    h = step(h, static_cast<unsigned char>(bytes[i]));
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
+
+TEST(BlobHashTest, KnownValues) {
+  EXPECT_EQ(bitstream::blob_hash64(""), 0xefd01f60ba992926ull);
+  EXPECT_EQ(bitstream::blob_hash64("a"), 0x3b6e3aba47b3d474ull);
+  // One lane, then one lane and a one-byte tail.
+  EXPECT_EQ(bitstream::blob_hash64("12345678"), 0xa8709f471ce06098ull);
+  EXPECT_EQ(bitstream::blob_hash64("123456789"), 0x0b02b645c8fe6568ull);
+  EXPECT_EQ(bitstream::blob_hash64(std::string(16, '\0')),
+            0x8d7833c0c7050bbcull);
+  // Lengths are hashed: a zero byte more is a different payload.
+  EXPECT_NE(bitstream::blob_hash64(std::string(15, '\0')),
+            bitstream::blob_hash64(std::string(16, '\0')));
+}
+
+TEST(BlobHashTest, EverySingleByteFlipChangesTheHash) {
+  Rng rng(0x50464332);
+  std::vector<std::string> inputs;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    std::string bytes;
+    for (std::size_t i = 0; i < n; ++i)
+      bytes.push_back(static_cast<char>(rng.next_u64()));
+    inputs.push_back(bytes);
+  }
+  std::string long_input(10'000, '\0');
+  for (char& c : long_input) c = static_cast<char>(rng.next_u64());
+  inputs.push_back(long_input);
+
+  for (const std::string& input : inputs) {
+    const std::uint64_t hash = bitstream::blob_hash64(input);
+    EXPECT_EQ(hash, reference_blob_hash(input)) << input.size() << " bytes";
+    // 0x80 at byte 7 of a lane is its bit 63, which a word-wide FNV-1a
+    // never carries out of bit 63.
+    for (std::size_t i = 0; i < input.size(); ++i)
+      for (const unsigned char flip : {0x80, 0xFF}) {
+        std::string flipped = input;
+        flipped[i] = static_cast<char>(flipped[i] ^ flip);
+        EXPECT_NE(bitstream::blob_hash64(flipped), hash)
+            << input.size() << " bytes, byte " << i << " ^ "
+            << static_cast<int>(flip);
+      }
+  }
+  // Bit 63 flipped in two lanes: the pair cancels in a word-wide FNV-1a.
+  const std::string base = long_input.substr(0, 64);
+  const std::uint64_t hash = bitstream::blob_hash64(base);
+  for (std::size_t a = 7; a < base.size(); a += 8)
+    for (std::size_t b = a + 8; b < base.size(); b += 8) {
+      std::string flipped = base;
+      flipped[a] = static_cast<char>(flipped[a] ^ 0x80);
+      flipped[b] = static_cast<char>(flipped[b] ^ 0x80);
+      EXPECT_NE(bitstream::blob_hash64(flipped), hash)
+          << "lanes " << a / 8 << " and " << b / 8;
+    }
+}
+
+/// Little-endian header fields, as a blob file lays them out.
+void append_le(std::string& out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<char>(value >> (8 * i)));
+}
+
+/// A blob file by hand: `magic` | kind | key | hash | len | payload.
+std::string blob_file(const char* magic, std::uint32_t kind,
+                      std::uint64_t key, std::uint64_t hash,
+                      std::uint64_t len, const std::string& payload) {
+  std::string file(magic, 4);
+  append_le(file, kind, 4);
+  append_le(file, key, 8);
+  append_le(file, hash, 8);
+  append_le(file, len, 8);
+  return file + payload;
+}
+
+TEST(CacheBlobTest, LengthOtherThanTheFileHoldsThrows) {
+  const std::string dir = fresh_dir("blob_len");
+  fs::create_directories(dir);
+  const std::string path = dir + "/0000000000000007.pfc";
+  const std::string payload = "8 bytes!";
+  // A 40-byte file whose header claims 200 MiB: rejected from the file
+  // size, before a payload buffer is sized.
+  std::ofstream(path, std::ios::binary)
+      << blob_file("PFC2", 3, 7, bitstream::blob_hash64(payload),
+                   200ull << 20, payload);
+  ASSERT_EQ(fs::file_size(path), 40u);
+  EXPECT_THROW(bitstream::read_cache_blob(path, 7), InvalidArgument);
+  // Bytes past the declared payload are not ignored either.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << blob_file("PFC2", 3, 7, bitstream::blob_hash64("8 bytes"), 7,
+                   payload);
+  EXPECT_THROW(bitstream::read_cache_blob(path, 7), InvalidArgument);
+  // The same file declaring its true length reads back.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << blob_file("PFC2", 3, 7, bitstream::blob_hash64(payload), 8,
+                   payload);
+  EXPECT_EQ(bitstream::read_cache_blob(path, 7).payload, payload);
+}
+
+TEST(FlowCacheTest, Pfc1EntriesAreMissesNotPoisoned) {
+  FlowCacheOptions opt;
+  opt.dir = fresh_dir("fc_pfc1");
+  const std::string payload = [&] {
+    FlowCache writer(FlowCacheOptions{fresh_dir("fc_pfc1_payload")});
+    writer.store_module(1, sample_module(4));
+    return bitstream::read_cache_blob(writer.dir() + "/0000000000000001.pfc",
+                                      1)
+        .payload;
+  }();
+  // The same entry under the previous tool version: its key chain starts
+  // from that version's tag, and its blob is PFC1, hashed with FNV-1a.
+  const auto key_under = [](const char* version) {
+    std::uint64_t h = bitstream::fnv1a64(std::string(version));
+    std::string chunk;
+    append_le(chunk, 3, 8);
+    chunk += "mod";
+    return bitstream::fnv1a64(chunk) ^ (h * 0x100000001b3ull);
+  };
+  const std::uint64_t new_key = FlowCache::KeyBuilder().add("mod").finish();
+  ASSERT_EQ(key_under(kFlowCacheToolVersion), new_key);
+  const std::uint64_t old_key = key_under("presp-flow-cache/1");
+  ASSERT_NE(old_key, new_key);
+  const auto pfc1 = [&](std::uint64_t key) {
+    return blob_file("PFC1", 3, key, bitstream::fnv1a64(payload),
+                     payload.size(), payload);
+  };
+  const auto path_for = [&](std::uint64_t key) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "%016llx.pfc",
+                  static_cast<unsigned long long>(key));
+    return opt.dir + "/" + name;
+  };
+  fs::create_directories(opt.dir);
+  const std::string old_path = path_for(old_key);
+  std::ofstream(old_path, std::ios::binary) << pfc1(old_key);
+  // Older than anything stored below.
+  fs::last_write_time(old_path, fs::file_time_type::clock::now() -
+                                    std::chrono::hours(1));
+
+  // At its old key's path the entry is never opened: the new key misses.
+  FlowCache cache(opt);
+  EXPECT_EQ(cache.stats().bytes,
+            static_cast<long long>(fs::file_size(old_path)));
+  EXPECT_FALSE(cache.load_module_stream(new_key).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().poisoned, 0u);
+  EXPECT_TRUE(fs::exists(old_path));
+
+  // LRU evicts it like any entry: a cap that holds one entry keeps the
+  // fresh store.
+  FlowCacheOptions capped = opt;
+  capped.max_bytes = static_cast<long long>(fs::file_size(old_path));
+  FlowCache evicting(capped);
+  evicting.store_module(new_key, sample_module(4));
+  EXPECT_EQ(evicting.stats().evictions, 1u);
+  EXPECT_FALSE(fs::exists(old_path));
+  EXPECT_TRUE(evicting.load_module_stream(new_key).has_value());
+
+  // At the exact path of a requested key it is rejected and removed,
+  // never trusted.
+  const std::string new_path = path_for(new_key);
+  std::ofstream(new_path, std::ios::binary | std::ios::trunc)
+      << pfc1(new_key);
+  FlowCache reopened(opt);
+  EXPECT_FALSE(reopened.load_module_stream(new_key).has_value());
+  EXPECT_EQ(reopened.stats().hits, 0u);
+  EXPECT_EQ(reopened.stats().misses, 1u);
+  EXPECT_EQ(reopened.stats().poisoned, 1u);
+  EXPECT_FALSE(fs::exists(new_path));
+}
+
 // ---- binary parsers under seeded mutation ---------------------------
 
 /// One seeded byte flip, truncation or insertion, as JsonMutationTest
@@ -463,6 +663,47 @@ TEST(FlowCacheIntegrationTest, WarmRunHitsEveryStageAndMatchesCold) {
   }
   // The warm run executed no synthesis or P&R tasks at all.
   EXPECT_EQ(warm.exec.tasks, 0u);
+}
+
+TEST(FlowCacheIntegrationTest, WarmSocXTracesOneReadAndVerifyPerHit) {
+  const std::string dir = fresh_dir("fc_flow_trace");
+  const auto device = fabric::Device::vc707();
+  const auto lib = wami::wami_library();
+  const auto config = wami::table6_soc('X');
+  const PrEspFlow flow(device, lib, fast_options(dir));
+  ASSERT_EQ(flow.run(config).cache.hits, 0u);
+
+  trace::TraceConfig trace_config;
+  trace_config.categories = static_cast<std::uint32_t>(trace::Category::kFlow);
+  trace::TraceSession::instance().start(trace_config);
+  const FlowResult warm = flow.run(config);
+  const trace::TraceReport report = trace::TraceSession::instance().stop();
+  ASSERT_EQ(warm.cache.misses, 0u);
+  ASSERT_GT(warm.cache.hits, 0u);
+
+  // Each hit reads its blob, then verifies its payload, inside a load.
+  std::uint64_t reads = 0;
+  std::uint64_t verifies = 0;
+  std::uint64_t open_loads = 0;
+  std::string last;
+  for (const trace::TraceEvent& e : report.events) {
+    if (e.name == "flow:cache-load")
+      open_loads += e.phase == trace::Phase::kBegin ? 1 : -1;
+    if (e.phase != trace::Phase::kBegin) continue;
+    if (e.name == "cache:read") {
+      ++reads;
+      EXPECT_EQ(open_loads, 1u);
+      EXPECT_NE(last, "cache:read");
+    } else if (e.name == "cache:verify") {
+      ++verifies;
+      EXPECT_EQ(last, "cache:read");
+    } else {
+      continue;
+    }
+    last = e.name;
+  }
+  EXPECT_EQ(reads, warm.cache.hits);
+  EXPECT_EQ(verifies, warm.cache.hits);
 }
 
 TEST(FlowCacheIntegrationTest, WarmParallelMatchesWarmSerial) {

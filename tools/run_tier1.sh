@@ -33,8 +33,11 @@
 #              warm pass's --cache-stats must report 0 misses and 0
 #              poisoned for each SoC (a warm pass that rejected its
 #              entries would rebuild them cold and write the same
-#              bytes). To regenerate, copy those files over
-#              tests/golden/ and name the diff in CHANGES.md
+#              bytes). Then one byte in the middle of one module entry
+#              is flipped and the three SoCs rebuilt: --cache-stats must
+#              report exactly 1 poisoned entry and 1 miss in all, and
+#              the digests must match again. To regenerate, copy those
+#              files over tests/golden/ and name the diff in CHANGES.md
 #   asan       AddressSanitizer+UBSan build running the full ctest suite
 #   tsan       ThreadSanitizer build running the exec unit tests
 #              (the owner-vs-thieves deque fan-out at pool widths 2/4/8,
@@ -273,6 +276,26 @@ flow_artifact_digests() {
   (cd "$out_dir" && sha256sum -- *.pbs *.floorplan.json) | LC_ALL=C sort -k 2
 }
 
+# poison_module_entry <cache dir>
+# Flips (xor 0xFF) the middle byte of the first module entry (blob kind
+# 3: the little-endian u32 after the magic) in <cache dir>, by name
+# order, and prints its path.
+poison_module_entry() {
+  for entry in "$1"/*.pfc; do
+    kind=$(od -An -tu1 -j4 -N4 "$entry" | tr -s ' ' | sed 's/^ //')
+    [ "$kind" = "3 0 0 0" ] || continue
+    offset=$(( $(wc -c < "$entry") / 2 ))
+    byte=$(od -An -tu1 -j "$offset" -N1 "$entry" | tr -d ' ')
+    # shellcheck disable=SC2059  # the format is the octal escape
+    printf "$(printf '\\%03o' $(( byte ^ 255 )))" |
+        dd of="$entry" bs=1 seek="$offset" conv=notrunc 2>/dev/null
+    echo "$entry"
+    return 0
+  done
+  echo "tier-1: no module entry in $1" >&2
+  return 1
+}
+
 stage_golden() {
   # shellcheck disable=SC2086  # GOLDEN_BENCHES is a word list
   cmake --build "$BUILD_DIR" --target $GOLDEN_BENCHES bench_soak wami_app \
@@ -311,9 +334,28 @@ stage_golden() {
     echo "tier-1: the warm flow pass missed or rejected cache entries" >&2
     return 1
   }
+  # Corruption pass: one byte flipped mid-file in one module entry must
+  # be caught by the shipped binary (1 poisoned, 1 miss across the three
+  # SoCs), and the rebuilt partial must still match the golden digests.
+  victim=$(poison_module_entry "$FLOW_DIR/cache")
+  flow_artifact_digests "$FLOW_DIR/cache" "$FLOW_DIR/poisoned" \
+      > "$FLOW_DIR/flow_artifacts_poisoned.sha256"
+  diff -u tests/golden/flow_artifacts.sha256 \
+      "$FLOW_DIR/flow_artifacts_poisoned.sha256"
+  poisoned=$(sed -n 's/.*, \([0-9]*\) poisoned,.*/\1/p' \
+      "$FLOW_DIR/poisoned.cache_stats" | awk '{ n += $1 } END { print n }')
+  missed=$(sed -n 's/.*, \([0-9]*\) misses,.*/\1/p' \
+      "$FLOW_DIR/poisoned.cache_stats" | awk '{ n += $1 } END { print n }')
+  [ "$poisoned" -eq 1 ] && [ "$missed" -eq 1 ] || {
+    cat "$FLOW_DIR/poisoned.cache_stats"
+    echo "tier-1: a flipped byte in $victim was not rejected as exactly" \
+        "1 poisoned entry and 1 miss" >&2
+    return 1
+  }
   diff -u -r tests/golden "$GOLDEN_OUT"
   echo "tier-1 golden: $(ls "$GOLDEN_OUT" | wc -l) outputs match" \
-      "tests/golden; warm flow pass all hits on $warm_hits SoCs"
+      "tests/golden; warm flow pass all hits on $warm_hits SoCs;" \
+      "a flipped module-entry byte rejected and rebuilt"
 }
 
 stage_asan() {
