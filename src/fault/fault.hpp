@@ -26,8 +26,9 @@
 //
 // Runtime-level sites (hooked by runtime::Repacker):
 //   kRepackAbort     — the Nth repack migration aborts mid-flight, after
-//                      the rebased image is staged but before the region
-//                      move commits (the repacker must roll back)
+//                      its target region is chosen but before the
+//                      reprogram and the region move (the repacker must
+//                      leave the floorplan unchanged)
 #pragma once
 
 #include <cstdint>
@@ -121,9 +122,9 @@ class FaultInjector {
   /// Synthetic load generator, once per arrival batch. True = the client
   /// population bursts above its nominal open-loop rate.
   bool on_burst_overload(int shard);
-  /// Repacker, once per attempted migration (after the rebased image is
-  /// staged, before the reprogram commits). True = abort this migration;
-  /// the repacker rolls back and the region map is unchanged.
+  /// Repacker, once per attempted migration (after the target region is
+  /// chosen, before the reprogram). True = abort this migration; the
+  /// region map is unchanged.
   bool on_repack_abort(int tile);
 
   const FaultInjectorStats& stats() const { return stats_; }

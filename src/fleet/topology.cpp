@@ -1,7 +1,5 @@
 #include "fleet/topology.hpp"
 
-#include <sstream>
-
 #include "util/error.hpp"
 
 namespace presp::fleet {
@@ -27,80 +25,6 @@ const char* to_string(FleetError error) {
     case FleetError::kExecFailed: return "exec-failed";
   }
   return "?";
-}
-
-namespace {
-
-/// Parses "w, tokens, burst, bound, deadline"; missing trailing fields
-/// keep the defaults already in `params`.
-void parse_class(const std::string& text, QosClassParams& params) {
-  std::istringstream in(text);
-  std::string field;
-  int index = 0;
-  while (std::getline(in, field, ',') && index < 5) {
-    try {
-      switch (index) {
-        case 0: params.weight = std::stod(field); break;
-        case 1: params.tokens_per_quantum = std::stod(field); break;
-        case 2: params.burst = std::stod(field); break;
-        case 3: params.queue_bound = std::stoi(field); break;
-        case 4: params.deadline_quanta = std::stoll(field); break;
-      }
-    } catch (const std::exception&) {
-      throw ConfigError("malformed QoS class field '" + field + "'");
-    }
-    ++index;
-  }
-}
-
-}  // namespace
-
-FleetTopology FleetTopology::from_config(const Config& config) {
-  FleetTopology topo;
-  const std::string s = "fleet";
-  topo.shards = static_cast<int>(config.get_int_or(s, "shards", topo.shards));
-  topo.quantum_cycles =
-      config.get_int_or(s, "quantum_cycles", topo.quantum_cycles);
-  topo.coalesce_limit = static_cast<int>(
-      config.get_int_or(s, "coalesce_limit", topo.coalesce_limit));
-  topo.service_estimate_cycles = config.get_int_or(
-      s, "service_estimate_cycles", topo.service_estimate_cycles);
-  topo.fallback_latency_cycles = config.get_int_or(
-      s, "fallback_latency_cycles", topo.fallback_latency_cycles);
-  topo.stall_cycles = config.get_int_or(s, "stall_cycles", topo.stall_cycles);
-  topo.burst_multiplier = static_cast<int>(
-      config.get_int_or(s, "burst_multiplier", topo.burst_multiplier));
-  if (config.has(s, "tenant_tokens_per_quantum"))
-    topo.tenant_tokens_per_quantum =
-        config.get_double(s, "tenant_tokens_per_quantum");
-  if (config.has(s, "tenant_burst"))
-    topo.tenant_burst = config.get_double(s, "tenant_burst");
-  for (int c = 0; c < kNumQosClasses; ++c) {
-    const std::string key =
-        std::string("class_") + to_string(static_cast<QosClass>(c));
-    if (config.has(s, key)) parse_class(config.get(s, key), topo.classes[c]);
-  }
-  topo.repack = config.get_int_or(s, "repack", topo.repack ? 1 : 0) != 0;
-  topo.repack_interval_cycles = config.get_int_or(
-      s, "repack_interval_cycles", topo.repack_interval_cycles);
-  if (config.has(s, "repack_frag_threshold"))
-    topo.repack_frag_threshold = config.get_double(s, "repack_frag_threshold");
-  topo.repack_max_migrations = static_cast<int>(config.get_int_or(
-      s, "repack_max_migrations", topo.repack_max_migrations));
-  topo.repack_migration_budget = static_cast<int>(config.get_int_or(
-      s, "repack_migration_budget", topo.repack_migration_budget));
-  if (config.has(s, "breaker_failure_threshold"))
-    topo.breaker.failure_threshold =
-        config.get_double(s, "breaker_failure_threshold");
-  topo.breaker.window = static_cast<int>(
-      config.get_int_or(s, "breaker_window", topo.breaker.window));
-  topo.breaker.open_base_cycles = config.get_int_or(
-      s, "breaker_open_base_cycles", topo.breaker.open_base_cycles);
-  topo.breaker.open_max_cycles = config.get_int_or(
-      s, "breaker_open_max_cycles", topo.breaker.open_max_cycles);
-  topo.breaker.half_open_probes = static_cast<int>(config.get_int_or(
-      s, "breaker_half_open_probes", topo.breaker.half_open_probes));
-  return topo;
 }
 
 void FleetTopology::validate() const {

@@ -1,39 +1,12 @@
-// Fleet topology & policy, parsed from the `[fleet]` section of an
-// .esp_config file:
-//
-//   [fleet]
-//   shards = 2
-//   quantum_cycles = 4000
-//   coalesce_limit = 4
-//   # class_<name> = weight, tokens_per_quantum, burst, queue_bound,
-//   #                deadline_quanta
-//   class_realtime   = 8, 4.0, 8, 32, 600
-//   class_standard   = 4, 2.0, 16, 64, 2000
-//   class_besteffort = 1, 1.0, 32, 128, 8000
-//   tenant_tokens_per_quantum = 0.5   # 0 (default) disables
-//   tenant_burst = 8
-//   breaker_failure_threshold = 0.5
-//   breaker_window = 8
-//   breaker_open_base_cycles = 200000
-//   breaker_open_max_cycles = 3200000
-//   breaker_half_open_probes = 2
-//   repack = 1                        # 0 (default) disables
-//   repack_interval_cycles = 2000000
-//   repack_frag_threshold = 0.05
-//   repack_max_migrations = 4
-//   repack_migration_budget = 2
-//
-// from_config() is deliberately lenient (defaults for every key) — the
-// presp-lint `fleet.*` rule pack is where misconfigurations are reported
-// with file/line diagnostics; FleetManager re-validates the invariants it
-// cannot run without and throws ConfigError.
+// Fleet topology & policy: shard count, scheduling quantum, QoS class
+// parameters, tenant buckets, circuit breakers and online repacking.
+// Callers (bench_soak, perfbench, the fleet tests) set the fields in
+// code; FleetManager runs validate() and throws on values it cannot run
+// with.
 #pragma once
-
-#include <string>
 
 #include "fleet/breaker.hpp"
 #include "fleet/types.hpp"
-#include "util/config.hpp"
 
 namespace presp::fleet {
 
@@ -60,10 +33,7 @@ struct FleetTopology {
   /// Tenant bucket capacity (burst allowance). Ignored while disabled.
   double tenant_burst = 8.0;
   /// Online defragmentation: when true every shard runs a background
-  /// runtime::Repacker over a dynamic floorplan of its fabric
-  /// (`repack = 1` in [fleet], the only section that configures
-  /// repacking; presp-lint runtime.repacker-bounds checks the knobs
-  /// below).
+  /// runtime::Repacker over a dynamic floorplan of its fabric.
   bool repack = false;
   /// Cycles between repack passes on each shard. Must stay positive.
   long long repack_interval_cycles = 2'000'000;
@@ -80,10 +50,6 @@ struct FleetTopology {
       {1.0, 1.0, 32.0, 128, 8000},  // besteffort
   };
   BreakerOptions breaker;
-
-  /// Reads the `[fleet]` section (missing keys keep defaults; a missing
-  /// section returns the default topology).
-  static FleetTopology from_config(const Config& config);
 
   /// Throws presp::InvalidArgument on values the manager cannot run with
   /// (shards < 1, non-positive quantum/queue bounds, zero class weight

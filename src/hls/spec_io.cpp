@@ -72,19 +72,16 @@ KernelSpec kernel_spec_from_config(const Config& cfg,
   if (spec.pe_ops.empty())
     throw ConfigError("accelerator '" + spec.name + "' lists no ops");
 
-  spec.num_pes = static_cast<int>(cfg.get_int(section_name, "pes"));
-  spec.address_generators = static_cast<int>(
-      cfg.get_int_or(section_name, "address_generators", 1));
-  spec.fsm_states =
-      static_cast<int>(cfg.get_int_or(section_name, "fsm_states", 8));
-  spec.buffer_luts =
-      static_cast<int>(cfg.get_int_or(section_name, "buffer_luts", 0));
+  spec.num_pes = cfg.get_int32(section_name, "pes");
+  spec.address_generators =
+      cfg.get_int32(section_name, "address_generators", 1);
+  spec.fsm_states = cfg.get_int32(section_name, "fsm_states", 8);
+  spec.buffer_luts = cfg.get_int32(section_name, "buffer_luts", 0);
+  // An int count of KB times 1024 always fits in long long.
   spec.scratchpad_bytes =
-      cfg.get_int_or(section_name, "scratchpad_kb", 0) * 1024;
-  spec.pipeline_ii =
-      static_cast<int>(cfg.get_int_or(section_name, "pipeline_ii", 1));
-  spec.pipeline_depth =
-      static_cast<int>(cfg.get_int_or(section_name, "pipeline_depth", 8));
+      cfg.get_int32(section_name, "scratchpad_kb", 0) * 1024LL;
+  spec.pipeline_ii = cfg.get_int32(section_name, "pipeline_ii", 1);
+  spec.pipeline_depth = cfg.get_int32(section_name, "pipeline_depth", 8);
   if (cfg.has(section_name, "words_in_per_item"))
     spec.words_in_per_item =
         cfg.get_double(section_name, "words_in_per_item");

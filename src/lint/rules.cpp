@@ -9,9 +9,7 @@
 #include <optional>
 #include <set>
 
-#include "fleet/topology.hpp"
 #include "lint/cycle.hpp"
-#include "runtime/manager.hpp"
 #include "util/string_utils.hpp"
 
 namespace presp::lint {
@@ -93,12 +91,10 @@ bool valid_route(const RouteTable& table, const std::vector<int>& route,
 // ------------------------------------------------------- config rules
 
 /// True when some program reads `[section]`: SocConfig ([soc], [tiles]),
-/// hls/spec_io.cpp ([accelerator <name>]), presp-flow ([exec], [ops])
-/// and FleetTopology ([fleet]).
+/// hls/spec_io.cpp ([accelerator <name>]) and presp-flow ([exec], [ops]).
 bool known_section(const std::string& section) {
   return section == "soc" || section == "tiles" || section == "exec" ||
-         section == "fleet" || section == "ops" ||
-         starts_with(section, "accelerator ");
+         section == "ops" || starts_with(section, "accelerator ");
 }
 
 void check_unknown_section(LintContext& ctx, DiagnosticEngine& engine) {
@@ -110,7 +106,7 @@ void check_unknown_section(LintContext& ctx, DiagnosticEngine& engine) {
                 "no tool reads section [" + section +
                     "]: its keys are silently ignored",
                 "remove the section or fix its name (known: soc, tiles, "
-                "exec, fleet, ops, accelerator <name>)"});
+                "exec, ops, accelerator <name>)"});
   }
 }
 
@@ -481,233 +477,6 @@ void check_queue_gating(LintContext& ctx, DiagnosticEngine& engine) {
   }
 }
 
-// -------------------------------------------------------- fleet rules
-// The [fleet] section is parsed leniently by FleetTopology::from_config
-// (FleetManager re-validates and throws); these rules are where
-// misconfigurations get file/line diagnostics before anything runs.
-
-/// Parses the [fleet] section, reporting a malformed section under
-/// `fleet.topology`. Returns nullopt when the section is absent (every
-/// fleet rule is then a no-op) or unparseable.
-std::optional<fleet::FleetTopology> fleet_topology(LintContext& ctx,
-                                                   DiagnosticEngine& engine) {
-  const int line = ctx.line_of_section("fleet");
-  if (line == 0) return std::nullopt;
-  try {
-    return fleet::FleetTopology::from_config(ctx.raw());
-  } catch (const ConfigError& e) {
-    engine.add({"fleet.topology",
-                Severity::kError,
-                {ctx.file(), line, "fleet"},
-                std::string("malformed [fleet] section: ") + e.what(),
-                "QoS class rows are 'weight, tokens_per_quantum, burst, "
-                "queue_bound, deadline_quanta'"});
-    return std::nullopt;
-  }
-}
-
-SourceLoc fleet_loc(LintContext& ctx, const std::string& key) {
-  int line = ctx.line_of("fleet", key);
-  if (line == 0) line = ctx.line_of_section("fleet");
-  return {ctx.file(), line, "fleet"};
-}
-
-void check_fleet_topology(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  if (topo->shards < 1)
-    engine.add({"fleet.topology", Severity::kError, fleet_loc(ctx, "shards"),
-                "shards " + std::to_string(topo->shards) +
-                    " leaves the fleet without a single SoC instance",
-                "use at least one shard"});
-  if (topo->quantum_cycles <= 0)
-    engine.add({"fleet.topology", Severity::kError,
-                fleet_loc(ctx, "quantum_cycles"),
-                "quantum_cycles " + std::to_string(topo->quantum_cycles) +
-                    " stalls the fleet clock",
-                "use a positive scheduling quantum (default 4000 cycles)"});
-  if (topo->coalesce_limit < 0)
-    engine.add({"fleet.topology", Severity::kError,
-                fleet_loc(ctx, "coalesce_limit"),
-                "coalesce_limit " + std::to_string(topo->coalesce_limit) +
-                    " is negative",
-                "use 0 to disable coalescing or a positive follower cap"});
-  if (topo->service_estimate_cycles <= 0)
-    engine.add({"fleet.topology", Severity::kError,
-                fleet_loc(ctx, "service_estimate_cycles"),
-                "service_estimate_cycles " +
-                    std::to_string(topo->service_estimate_cycles) +
-                    " disables reject-early deadline shedding",
-                "estimate one reconfiguration's cycles (default 120000)"});
-}
-
-void check_fleet_class_weights(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  double weight_sum = 0.0;
-  for (int c = 0; c < fleet::kNumQosClasses; ++c) {
-    const fleet::QosClassParams& cls = topo->classes[c];
-    const std::string key = std::string("class_") +
-                            to_string(static_cast<fleet::QosClass>(c));
-    if (cls.weight < 0.0)
-      engine.add({"fleet.class-weights", Severity::kError,
-                  fleet_loc(ctx, key),
-                  key + " weight " + std::to_string(cls.weight) +
-                      " is negative",
-                  "QoS weights are non-negative relative shares"});
-    else if (cls.weight == 0.0)
-      engine.add({"fleet.class-weights", Severity::kWarning,
-                  fleet_loc(ctx, key),
-                  key + " weight 0 starves the class: its queue only "
-                        "drains when every other class is empty",
-                  "give every live class a positive weight"});
-    weight_sum += std::max(cls.weight, 0.0);
-  }
-  if (weight_sum <= 0.0)
-    engine.add({"fleet.class-weights", Severity::kError,
-                fleet_loc(ctx, "class_standard"),
-                "QoS class weights sum to zero: the dispatcher can never "
-                "pick a queue",
-                "give at least one class a positive weight"});
-}
-
-void check_fleet_queue_bounds(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  for (int c = 0; c < fleet::kNumQosClasses; ++c) {
-    const fleet::QosClassParams& cls = topo->classes[c];
-    const std::string key = std::string("class_") +
-                            to_string(static_cast<fleet::QosClass>(c));
-    const SourceLoc loc = fleet_loc(ctx, key);
-    if (cls.queue_bound <= 0)
-      engine.add({"fleet.queue-bounds", Severity::kError, loc,
-                  key + " queue_bound " + std::to_string(cls.queue_bound) +
-                      " sheds every admission (kQueueFull)",
-                  "bound the queue with a positive depth"});
-    if (cls.deadline_quanta <= 0)
-      engine.add({"fleet.queue-bounds", Severity::kError, loc,
-                  key + " deadline_quanta " +
-                      std::to_string(cls.deadline_quanta) +
-                      " expires requests at submit time",
-                  "use a positive per-class deadline"});
-    if (cls.tokens_per_quantum <= 0.0)
-      engine.add({"fleet.queue-bounds", Severity::kWarning, loc,
-                  key + " tokens_per_quantum " +
-                      std::to_string(cls.tokens_per_quantum) +
-                      " never refills the bucket: the class is "
-                      "permanently throttled",
-                  "use a positive refill rate"});
-    else if (cls.burst < cls.tokens_per_quantum)
-      engine.add({"fleet.queue-bounds", Severity::kWarning, loc,
-                  key + " burst " + std::to_string(cls.burst) +
-                      " is below tokens_per_quantum: refill overflows "
-                      "the bucket every quantum",
-                  "set burst to at least one quantum's refill"});
-  }
-}
-
-void check_fleet_breaker(LintContext& ctx, DiagnosticEngine& engine) {
-  const auto topo = fleet_topology(ctx, engine);
-  if (!topo) return;
-  const fleet::BreakerOptions& breaker = topo->breaker;
-  if (breaker.failure_threshold <= 0.0 || breaker.failure_threshold > 1.0)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_failure_threshold"),
-                "breaker_failure_threshold " +
-                    std::to_string(breaker.failure_threshold) +
-                    " is outside (0, 1]",
-                "the threshold is a failure fraction of the window"});
-  if (breaker.window < 1 || breaker.window > 64)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_window"),
-                "breaker_window " + std::to_string(breaker.window) +
-                    " is outside [1, 64]",
-                "the outcome window is a 64-bit ring"});
-  if (breaker.open_base_cycles <= 0 ||
-      breaker.open_max_cycles < breaker.open_base_cycles)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_open_base_cycles"),
-                "breaker backoff interval [" +
-                    std::to_string(breaker.open_base_cycles) + ", " +
-                    std::to_string(breaker.open_max_cycles) + "] is empty",
-                "use 0 < breaker_open_base_cycles <= "
-                "breaker_open_max_cycles"});
-  if (breaker.half_open_probes < 1)
-    engine.add({"fleet.breaker", Severity::kError,
-                fleet_loc(ctx, "breaker_half_open_probes"),
-                "breaker_half_open_probes " +
-                    std::to_string(breaker.half_open_probes) +
-                    " means an open breaker can never re-close",
-                "allow at least one probe"});
-  if (breaker.open_base_cycles > 0 &&
-      breaker.open_base_cycles < topo->quantum_cycles)
-    engine.add({"fleet.breaker", Severity::kWarning,
-                fleet_loc(ctx, "breaker_open_base_cycles"),
-                "breaker_open_base_cycles " +
-                    std::to_string(breaker.open_base_cycles) +
-                    " is shorter than one scheduling quantum: an open "
-                    "breaker half-opens on the very next dispatch pass",
-                "back off for at least one quantum (" +
-                    std::to_string(topo->quantum_cycles) + " cycles)"});
-}
-
-void check_repacker_bounds(LintContext& ctx, DiagnosticEngine& engine) {
-  // [fleet] repack knobs (per-shard repackers). Malformed sections are
-  // fleet.topology's diagnostic; stay silent on them here.
-  if (ctx.line_of_section("fleet") == 0) return;
-  std::optional<fleet::FleetTopology> topo;
-  try {
-    topo = fleet::FleetTopology::from_config(ctx.raw());
-  } catch (const ConfigError&) {
-    return;
-  }
-  if (!topo->repack) return;
-  // No config key sets the shard managers' retry budget: it is
-  // ManagerOptions' default.
-  const int retry_budget = runtime::ManagerOptions{}.retry_budget;
-  if (topo->repack_interval_cycles <= 0)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_interval_cycles"),
-                "repack_interval_cycles " +
-                    std::to_string(topo->repack_interval_cycles) +
-                    " makes every shard's repacker spin, starving its "
-                    "DFXC request path",
-                "use a positive interval (default 2000000 cycles)"});
-  if (topo->repack_frag_threshold < 0.0 ||
-      topo->repack_frag_threshold >= 1.0)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_frag_threshold"),
-                "repack_frag_threshold " +
-                    std::to_string(topo->repack_frag_threshold) +
-                    " is outside [0, 1): the fragmentation ratio can "
-                    "never exceed it",
-                "use a threshold in [0, 1) (default 0.05)"});
-  if (topo->repack_max_migrations < 1)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_max_migrations"),
-                "repack_max_migrations " +
-                    std::to_string(topo->repack_max_migrations) +
-                    " means a repack pass can never migrate anything",
-                "allow at least one migration per pass"});
-  if (topo->repack_migration_budget < 1)
-    engine.add({"runtime.repacker-bounds", Severity::kError,
-                fleet_loc(ctx, "repack_migration_budget"),
-                "repack_migration_budget " +
-                    std::to_string(topo->repack_migration_budget) +
-                    " aborts every pass before its first migration",
-                "use a positive migration budget"});
-  else if (topo->repack_migration_budget > retry_budget)
-    engine.add({"runtime.repacker-bounds", Severity::kWarning,
-                fleet_loc(ctx, "repack_migration_budget"),
-                "repack_migration_budget " +
-                    std::to_string(topo->repack_migration_budget) +
-                    " exceeds the runtime retry_budget " +
-                    std::to_string(retry_budget) +
-                    ": background compaction out-retries the foreground "
-                    "request path",
-                "keep the migration budget at or below retry_budget"});
-}
-
 // ---------------------------------------------------------- ops rules
 // The [ops] section configures the embedded telemetry server
 // (ops::OpsOptions). The lint layer reads the raw keys directly (the ops
@@ -1003,8 +772,8 @@ const RuleRegistry& RuleRegistry::builtin() {
            Severity::kError},
           force_device);
     r.add({"config.unknown-section", "config",
-           "every section is one a tool reads (soc, tiles, exec, fleet, "
-           "ops, accelerator <name>)",
+           "every section is one a tool reads (soc, tiles, exec, ops, "
+           "accelerator <name>)",
            Severity::kWarning},
           check_unknown_section);
     // netlist
@@ -1062,33 +831,6 @@ const RuleRegistry& RuleRegistry::builtin() {
            "tile hosts the DFXC/ICAP pair",
            Severity::kError},
           check_queue_gating);
-    // runtime
-    r.add({"runtime.repacker-bounds", "runtime",
-           "defragmentation repacker interval, migration caps and budget "
-           "are sane and defer to the foreground retry budget",
-           Severity::kWarning},
-          check_repacker_bounds);
-    // fleet
-    r.add({"fleet.topology", "fleet",
-           "the [fleet] section parses and the shard/quantum/coalesce "
-           "parameters can actually run",
-           Severity::kError},
-          check_fleet_topology);
-    r.add({"fleet.class-weights", "fleet",
-           "QoS class weights are non-negative and at least one class "
-           "can be dispatched",
-           Severity::kError},
-          check_fleet_class_weights);
-    r.add({"fleet.queue-bounds", "fleet",
-           "per-class queues are bounded, deadlines are positive and "
-           "token buckets can refill",
-           Severity::kError},
-          check_fleet_queue_bounds);
-    r.add({"fleet.breaker", "fleet",
-           "circuit-breaker threshold, window, backoff interval and "
-           "probe budget are sane",
-           Severity::kError},
-          check_fleet_breaker);
     // ops
     r.add({"ops.port", "ops",
            "the telemetry server's port is a valid TCP port and the bind "

@@ -15,9 +15,6 @@
 //             columns, ICAP reachability, infeasibility
 //   noc       route-function deadlock freedom (channel dependency
 //             graph), decoupler/queue gating coverage
-//   runtime   [fleet] repacker interval, migration caps and budget
-//   fleet     [fleet] topology sanity, QoS class weights and queue
-//             bounds, circuit-breaker tuning
 //   ops       [ops] telemetry-server port/bind sanity, SSE buffer
 //             bounds, disabled-by-default check
 //   exec      [exec] flow-cache directory and size budget

@@ -9,15 +9,14 @@ OpsOptions OpsOptions::from_config(const Config& config) {
   const std::string s = "ops";
   opts.enabled = config.get_bool_or(s, "enabled", opts.enabled);
   opts.bind = config.get_or(s, "bind", opts.bind);
-  opts.port = static_cast<int>(config.get_int_or(s, "port", opts.port));
-  opts.workers =
-      static_cast<int>(config.get_int_or(s, "workers", opts.workers));
-  opts.max_connections = static_cast<int>(
-      config.get_int_or(s, "max_connections", opts.max_connections));
-  opts.sse_buffer_events = static_cast<int>(
-      config.get_int_or(s, "sse_buffer_events", opts.sse_buffer_events));
-  opts.publish_interval_ms = static_cast<int>(
-      config.get_int_or(s, "publish_interval_ms", opts.publish_interval_ms));
+  opts.port = config.get_int32(s, "port", opts.port);
+  opts.workers = config.get_int32(s, "workers", opts.workers);
+  opts.max_connections =
+      config.get_int32(s, "max_connections", opts.max_connections);
+  opts.sse_buffer_events =
+      config.get_int32(s, "sse_buffer_events", opts.sse_buffer_events);
+  opts.publish_interval_ms =
+      config.get_int32(s, "publish_interval_ms", opts.publish_interval_ms);
   return opts;
 }
 

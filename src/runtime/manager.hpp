@@ -253,9 +253,10 @@ class ReconfigurationManager {
 
   /// Repack commit path: forced reprogram of `module` on `tile` through
   /// the regular DFXC flow, under the tile lock. Used by the
-  /// defragmentation repacker after a region relocation is staged; on
-  /// escalation the usual quarantine/re-route machinery applies and the
-  /// caller rolls the region move back.
+  /// defragmentation repacker between choosing a relocation target and
+  /// committing the region move; on escalation the usual
+  /// quarantine/re-route machinery applies and the move is never
+  /// committed.
   sim::Process repack_tile(int tile, std::string module, Completion& done);
 
   /// Legacy completion-event entry points; identical behavior, but the

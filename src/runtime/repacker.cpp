@@ -77,9 +77,9 @@ sim::Process Repacker::pass(Completion& done) {
     if (trace::enabled(kTrc)) {
       trace::sim_begin(kTrc, "migrate", kernel.now(), track);
     }
-    // Invariant 3, chaos side: the rebased image is staged; the
-    // kRepackAbort site may kill the migration here, before anything
-    // commits, and the floorplan must be left untouched.
+    // Invariant 3, chaos side: the target is chosen; the kRepackAbort
+    // site may kill the migration here, before the reprogram, and the
+    // floorplan must be left untouched.
     if (injector_ && injector_->on_repack_abort(tile)) {
       ++stats_.aborts;
       --budget;

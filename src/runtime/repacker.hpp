@@ -4,21 +4,23 @@
 // rectangle anywhere. The repacker is a low-priority background process
 // that periodically measures fragmentation and migrates *idle*
 // accelerators toward the packing origin: quiesce (take the tile lock —
-// never blocking, a busy tile is skipped) → stage the rebased image
-// (footprint-compatible by construction, see floorplan::DynamicFloorplan
-// and bitstream::rebase) → reprogram through the regular pipelined DFXC
-// path → commit the region move. A reprogram that escalates leaves the
-// tile to the ordinary quarantine machinery — subsequent requests
-// re-route through the TileHealthRegistry — and the region move is
-// rolled back.
+// never blocking, a busy tile is skipped) → pick a footprint-compatible
+// free region (floorplan::DynamicFloorplan::relocation_target) →
+// reprogram the tile's module through the regular pipelined DFXC path
+// (ReconfigurationManager::repack_tile: fetch, then program) → commit
+// the region move (DynamicFloorplan::relocate). A reprogram that
+// escalates leaves the tile to the ordinary quarantine machinery —
+// subsequent requests re-route through the TileHealthRegistry — and the
+// region move is never committed.
 //
 // Hard safety invariants, enforced here and tested in repacker_test:
 //   1. an in-flight tile is never moved (idle check + tile lock);
 //   2. a pinned tile is never moved (pin()/unpin(), e.g. latency-critical
 //      tenants);
 //   3. every migration is traced (runtime category, "migrate" spans) and
-//      fault-injectable: the kRepackAbort site fires after staging,
-//      before commit, and must leave the floorplan unchanged.
+//      fault-injectable: the kRepackAbort site fires after the target
+//      is chosen, before the reprogram, and must leave the floorplan
+//      unchanged.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +34,9 @@
 namespace presp::runtime {
 
 struct RepackerOptions {
-  /// Cycles between repack passes. Must be positive (presp-lint
-  /// runtime.repacker-bounds rejects a zero [fleet]
-  /// repack_interval_cycles: a zero interval starves the request path).
+  /// Cycles between repack passes. Must be positive: a zero interval
+  /// starves the request path (fleet::FleetTopology::validate rejects
+  /// it).
   long long interval_cycles = 2'000'000;
   /// Fragmentation ratio above which a pass migrates (<= means skip).
   double frag_threshold = 0.05;
@@ -42,9 +44,8 @@ struct RepackerOptions {
   /// stolen from foreground requests).
   int max_migrations_per_pass = 4;
   /// Consecutive failed/aborted migrations tolerated per pass before the
-  /// pass gives up. presp-lint warns when [fleet]
-  /// repack_migration_budget exceeds the manager's retry budget (the
-  /// repacker would out-retry the request path).
+  /// pass gives up. Keep it at or below the manager's retry budget, or
+  /// the repacker out-retries the request path.
   int migration_budget = 2;
   /// Gauge prefix for the published fragmentation metrics.
   std::string metrics_prefix = "floorplan";

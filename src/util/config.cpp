@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/string_utils.hpp"
@@ -90,6 +91,16 @@ long long Config::get_int_or(const std::string& section,
                              const std::string& key,
                              long long fallback) const {
   return has(section, key) ? get_int(section, key) : fallback;
+}
+
+int Config::get_int32(const std::string& section, const std::string& key,
+                      std::optional<int> fallback) const {
+  if (fallback && !has(section, key)) return *fallback;
+  const long long value = get_int(section, key);
+  if (!std::in_range<int>(value))
+    throw ConfigError("[" + section + "] " + key + " = " +
+                      std::to_string(value) + " does not fit in an int");
+  return static_cast<int>(value);
 }
 
 double Config::get_double(const std::string& section,

@@ -37,6 +37,11 @@ class Config {
   long long get_int(const std::string& section, const std::string& key) const;
   long long get_int_or(const std::string& section, const std::string& key,
                        long long fallback) const;
+  /// get_int, or get_int_or when `fallback` is set, for `int` fields:
+  /// throws ConfigError naming the section and key when the value does
+  /// not fit in an int.
+  int get_int32(const std::string& section, const std::string& key,
+                std::optional<int> fallback = std::nullopt) const;
   double get_double(const std::string& section, const std::string& key) const;
   bool get_bool_or(const std::string& section, const std::string& key,
                    bool fallback) const;

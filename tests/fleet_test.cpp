@@ -474,30 +474,16 @@ TEST(SyntheticLoadTest, SeededBatchesReplayAndBurstMultiplies) {
   EXPECT_GT(burst_total, 4u * options.burst_quanta);
 }
 
-// ---------------------------------------------------- configuration
+// ----------------------------------------------------------- topology
 
-TEST(FleetTopologyTest, ParsesFleetSectionAndValidates) {
-  const Config config = Config::parse(R"(
-[fleet]
-shards = 3
-quantum_cycles = 5000
-coalesce_limit = 2
-class_realtime = 9, 3.5, 6, 24, 500
-breaker_failure_threshold = 0.25
-breaker_window = 16
-)");
-  const FleetTopology topo = FleetTopology::from_config(config);
-  EXPECT_EQ(topo.shards, 3);
-  EXPECT_EQ(topo.quantum_cycles, 5'000);
-  EXPECT_EQ(topo.coalesce_limit, 2);
-  EXPECT_DOUBLE_EQ(topo.classes[0].weight, 9.0);
-  EXPECT_DOUBLE_EQ(topo.classes[0].tokens_per_quantum, 3.5);
-  EXPECT_EQ(topo.classes[0].queue_bound, 24);
-  EXPECT_EQ(topo.classes[0].deadline_quanta, 500);
-  // Unset classes keep defaults.
-  EXPECT_EQ(topo.classes[1].queue_bound, FleetTopology{}.classes[1].queue_bound);
-  EXPECT_DOUBLE_EQ(topo.breaker.failure_threshold, 0.25);
-  EXPECT_EQ(topo.breaker.window, 16);
+TEST(FleetTopologyTest, ValidatesShardQuantumClassAndBreakerFields) {
+  FleetTopology topo;
+  topo.shards = 3;
+  topo.quantum_cycles = 5'000;
+  topo.coalesce_limit = 2;
+  topo.classes[0] = {9.0, 3.5, 6.0, 24, 500};
+  topo.breaker.failure_threshold = 0.25;
+  topo.breaker.window = 16;
   topo.validate();
 
   FleetTopology bad = topo;
@@ -641,16 +627,11 @@ TEST_F(FleetFixture, TenantThrottlingOffByDefault) {
   EXPECT_TRUE(fleet->stats().conserved());
 }
 
-TEST(FleetTopologyTest, ParsesTenantBucketKeysAndValidates) {
-  const Config config = Config::parse(R"(
-[fleet]
-shards = 1
-tenant_tokens_per_quantum = 0.25
-tenant_burst = 4
-)");
-  const FleetTopology topo = FleetTopology::from_config(config);
-  EXPECT_DOUBLE_EQ(topo.tenant_tokens_per_quantum, 0.25);
-  EXPECT_DOUBLE_EQ(topo.tenant_burst, 4.0);
+TEST(FleetTopologyTest, ValidatesTenantBucketFields) {
+  FleetTopology topo;
+  topo.shards = 1;
+  topo.tenant_tokens_per_quantum = 0.25;
+  topo.tenant_burst = 4.0;
   topo.validate();
 
   FleetTopology bad = topo;
@@ -750,22 +731,13 @@ TEST_F(FleetFixture, RepackRunsReplayBitIdenticallyUnderAbortChaos) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
-TEST(FleetTopologyTest, ParsesRepackKeysAndValidates) {
-  const Config config = Config::parse(R"(
-[fleet]
-shards = 2
-repack = 1
-repack_interval_cycles = 500000
-repack_frag_threshold = 0.25
-repack_max_migrations = 2
-repack_migration_budget = 3
-)");
-  const FleetTopology topo = FleetTopology::from_config(config);
-  EXPECT_TRUE(topo.repack);
-  EXPECT_EQ(topo.repack_interval_cycles, 500'000);
-  EXPECT_DOUBLE_EQ(topo.repack_frag_threshold, 0.25);
-  EXPECT_EQ(topo.repack_max_migrations, 2);
-  EXPECT_EQ(topo.repack_migration_budget, 3);
+TEST(FleetTopologyTest, ValidatesRepackFieldsOnlyWhileRepacking) {
+  FleetTopology topo;
+  topo.repack = true;
+  topo.repack_interval_cycles = 500'000;
+  topo.repack_frag_threshold = 0.25;
+  topo.repack_max_migrations = 2;
+  topo.repack_migration_budget = 3;
   topo.validate();
 
   FleetTopology bad = topo;

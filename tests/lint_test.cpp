@@ -157,8 +157,8 @@ TEST(RuleRegistryTest, CatalogCoversEveryLayer) {
     EXPECT_TRUE(ids.insert(info.id).second) << "duplicate id " << info.id;
     EXPECT_FALSE(info.description.empty());
   }
-  for (const char* layer : {"config", "netlist", "floorplan", "noc",
-                            "runtime", "fleet", "exec", "pnr"})
+  for (const char* layer : {"config", "netlist", "floorplan", "noc", "ops",
+                            "exec", "pnr"})
     EXPECT_TRUE(layers.count(layer)) << layer;
   ASSERT_NE(registry.find("noc.deadlock"), nullptr);
   EXPECT_EQ(registry.find("noc.deadlock")->layer, "noc");
@@ -225,8 +225,10 @@ TEST(ConfigLintTest, NonPositiveClockIsRejected) {
 
 TEST(ConfigLintTest, SectionsNoToolReadsWarnAtTheirHeader) {
   // kCleanSoc ends on line 13; each appended header lands on line 15.
-  // An empty header counts too, and so does a misspelled [fleet].
-  for (const char* section : {"runtime", "bitstreams", "tasks", "flet"}) {
+  // An empty header counts too, and so does [fleet], which no program
+  // reads: bench_soak and perfbench build their topologies in code.
+  for (const char* section :
+       {"runtime", "bitstreams", "tasks", "fleet", "flet"}) {
     for (const char* body : {"", "key = 1\n"}) {
       const auto diags = run_lint(std::string(kCleanSoc) + "\n[" + section +
                                   "]\n" + body);
@@ -242,7 +244,7 @@ TEST(ConfigLintTest, SectionsNoToolReadsWarnAtTheirHeader) {
   // Every section a tool reads stays silent, custom kernels included;
   // ShippedDesignsTest.EveryExampleConfigIsClean covers the examples.
   EXPECT_TRUE(run_lint(std::string(kCleanSoc) +
-                       "\n[accelerator my_kernel]\n[exec]\n[fleet]\n[ops]\n")
+                       "\n[accelerator my_kernel]\n[exec]\n[ops]\n")
                   .empty());
 }
 
@@ -494,127 +496,7 @@ TEST(NocLintTest, MissingDecouplerBreaksQueueGating) {
   ASSERT_TRUE(has_rule(diags, "noc.queue-gating"));
 }
 
-// ------------------------------------------------------- fleet rules
-
-std::string with_fleet(const std::string& section) {
-  return std::string(kCleanSoc) + "\n[fleet]\n" + section;
-}
-
-TEST(FleetLintTest, WellFormedFleetSectionIsClean) {
-  const auto diags = run_lint(with_fleet(
-      "shards = 2\nquantum_cycles = 4000\ncoalesce_limit = 4\n"
-      "class_realtime = 8, 4.0, 8, 32, 600\n"
-      "breaker_failure_threshold = 0.5\nbreaker_window = 8\n"));
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(FleetLintTest, NoFleetSectionMeansNoFleetFindings) {
-  for (const Diagnostic& d : run_lint(kCleanSoc))
-    EXPECT_NE(d.rule.substr(0, 6), "fleet.");
-}
-
-TEST(FleetLintTest, ZeroShardsAndQuantum) {
-  const auto diags =
-      run_lint(with_fleet("shards = 0\nquantum_cycles = 0\n"));
-  EXPECT_TRUE(has_rule(diags, "fleet.topology"));
-  EXPECT_TRUE(has_error(diags));
-}
-
-TEST(FleetLintTest, MalformedClassRowReportsUnderTopology) {
-  const auto diags =
-      run_lint(with_fleet("class_standard = not, a, number\n"));
-  ASSERT_TRUE(has_rule(diags, "fleet.topology"));
-  EXPECT_TRUE(has_error(diags));
-}
-
-TEST(FleetLintTest, ZeroWeightSumIsErrorSingleZeroIsWarning) {
-  const auto starved = run_lint(with_fleet(
-      "class_realtime = 0, 4.0, 8, 32, 600\n"
-      "class_standard = 0, 2.0, 16, 64, 2000\n"
-      "class_besteffort = 0, 1.0, 32, 128, 8000\n"));
-  EXPECT_TRUE(has_rule(starved, "fleet.class-weights"));
-  EXPECT_TRUE(has_error(starved));
-
-  const auto one_zero =
-      run_lint(with_fleet("class_besteffort = 0, 1.0, 32, 128, 8000\n"));
-  ASSERT_TRUE(has_rule(one_zero, "fleet.class-weights"));
-  EXPECT_FALSE(has_error(one_zero));
-}
-
-TEST(FleetLintTest, QueueBoundAndTokenMisconfigurations) {
-  const auto unbounded =
-      run_lint(with_fleet("class_standard = 4, 2.0, 16, 0, 2000\n"));
-  EXPECT_TRUE(has_rule(unbounded, "fleet.queue-bounds"));
-  EXPECT_TRUE(has_error(unbounded));
-
-  const auto throttled =
-      run_lint(with_fleet("class_standard = 4, 0.0, 16, 64, 2000\n"));
-  ASSERT_TRUE(has_rule(throttled, "fleet.queue-bounds"));
-  EXPECT_FALSE(has_error(throttled));  // warning: permanent throttle
-}
-
-TEST(FleetLintTest, BreakerMisconfigurations) {
-  const auto threshold =
-      run_lint(with_fleet("breaker_failure_threshold = 1.5\n"));
-  EXPECT_TRUE(has_rule(threshold, "fleet.breaker"));
-  EXPECT_TRUE(has_error(threshold));
-
-  const auto window = run_lint(with_fleet("breaker_window = 65\n"));
-  EXPECT_TRUE(has_rule(window, "fleet.breaker"));
-
-  const auto interval = run_lint(with_fleet(
-      "breaker_open_base_cycles = 200000\n"
-      "breaker_open_max_cycles = 1000\n"));
-  EXPECT_TRUE(has_rule(interval, "fleet.breaker"));
-
-  const auto probes =
-      run_lint(with_fleet("breaker_half_open_probes = 0\n"));
-  EXPECT_TRUE(has_rule(probes, "fleet.breaker"));
-
-  // Backoff shorter than one scheduling quantum: warning only.
-  const auto thrash = run_lint(with_fleet(
-      "quantum_cycles = 4000\nbreaker_open_base_cycles = 1000\n"
-      "breaker_open_max_cycles = 3200000\n"));
-  ASSERT_TRUE(has_rule(thrash, "fleet.breaker"));
-  EXPECT_FALSE(has_error(thrash));
-}
-
-TEST(FleetLintTest, DiagnosticsAnchorToTheFleetKeyLine) {
-  const std::string text = with_fleet("shards = 0\n");
-  const auto diags = run_lint(text);
-  ASSERT_TRUE(has_rule(diags, "fleet.topology"));
-  // kCleanSoc spans 14 lines; "[fleet]" follows the blank separator.
-  for (const Diagnostic& d : diags)
-    if (d.rule == "fleet.topology") {
-      EXPECT_GT(d.loc.line, 0);
-    }
-}
-
-TEST(FleetLintTest, RepackerBoundsInFleetSection) {
-  const auto clean = run_lint(with_fleet("shards = 2\nrepack = 1\n"));
-  EXPECT_FALSE(has_rule(clean, "runtime.repacker-bounds"));
-
-  const auto spin = run_lint(with_fleet(
-      "shards = 2\nrepack = 1\nrepack_interval_cycles = 0\n"));
-  ASSERT_TRUE(has_rule(spin, "runtime.repacker-bounds"));
-  EXPECT_TRUE(has_error(spin));
-
-  const auto threshold = run_lint(with_fleet(
-      "shards = 2\nrepack = 1\nrepack_frag_threshold = 1.0\n"));
-  ASSERT_TRUE(has_rule(threshold, "runtime.repacker-bounds"));
-  EXPECT_TRUE(has_error(threshold));
-
-  // Budget above the runtime retry budget (default 3): warning only.
-  const auto budget = run_lint(with_fleet(
-      "shards = 2\nrepack = 1\nrepack_migration_budget = 5\n"));
-  ASSERT_TRUE(has_rule(budget, "runtime.repacker-bounds"));
-  EXPECT_FALSE(has_error(budget));
-
-  // Repack off: the knobs are inert and the rule stays silent.
-  const auto off = run_lint(with_fleet(
-      "shards = 2\nrepack = 0\nrepack_interval_cycles = 0\n"));
-  EXPECT_FALSE(has_rule(off, "runtime.repacker-bounds"));
-}
+// ---------------------------------------------------------- ops rules
 
 std::string with_ops(const std::string& section) {
   return std::string(kCleanSoc) + "\n[ops]\n" + section;

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,6 +74,24 @@ publish_interval_ms = 10
   EXPECT_EQ(opts.sse_buffer_events, 16);
   EXPECT_EQ(opts.publish_interval_ms, 10);
   EXPECT_NO_THROW(opts.validate());
+}
+
+TEST(OpsOptionsTest, OutOfIntRangeValuesAreConfigErrors) {
+  // 4294976476 is 9180 plus 2^32 and 4294967297 is 1 plus 2^32: a
+  // narrowing cast would hand validate() a usable port and worker count.
+  for (const char* line : {"port = 4294976476", "workers = 4294967297",
+                           "max_connections = -4294967295"}) {
+    const std::string key(line, std::string_view(line).find(' '));
+    try {
+      OpsOptions::from_config(
+          Config::parse(std::string("[ops]\nenabled = true\n") + line));
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("[ops] " + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(OpsOptionsTest, ValidateRejectsUnusableValues) {

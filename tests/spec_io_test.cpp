@@ -110,6 +110,26 @@ TEST(SpecIoTest, MalformedInputsRejected) {
               "[accelerator c]\nops = fadd\npes = 2\nflow = quartus\n"),
           lib),
       ConfigError);
+  // Counts that do not fit in an int, and a scratchpad whose byte size
+  // would overflow; 4294967297 is 1 plus 2^32.
+  for (const char* line :
+       {"pes = 4294967297", "pes = 2\nfsm_states = -4294967295",
+        "pes = 2\npipeline_depth = 4294967304",
+        "pes = 2\nscratchpad_kb = 10000000000000000"}) {
+    EXPECT_THROW(kernel_spec_from_config(
+                     Config::parse(std::string("[accelerator d]\nops = "
+                                               "fadd\n") +
+                                   line),
+                     "accelerator d"),
+                 ConfigError)
+        << line;
+  }
+  EXPECT_EQ(kernel_spec_from_config(
+                Config::parse("[accelerator e]\nops = fadd\npes = 2\n"
+                              "scratchpad_kb = 2147483647\n"),
+                "accelerator e")
+                .scratchpad_bytes,
+            2147483647LL * 1024);
   // Nameless section.
   EXPECT_THROW(kernel_spec_from_config(
                    Config::parse("[accelerator ]\nops = fadd\npes = 1\n"),

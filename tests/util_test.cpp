@@ -195,6 +195,28 @@ TEST(ConfigTest, MissingKeyThrowsAndFallbacksWork) {
   EXPECT_EQ(cfg.get_int_or("a", "y", 9), 9);
 }
 
+TEST(ConfigTest, Int32AccessorRangeChecksAndNamesTheKey) {
+  const auto cfg = Config::parse(
+      "[s]\nmax = 2147483647\nmin = -2147483648\nover = 2147483648\n"
+      "under = -2147483649\nwrapped = 4294967297\nbad = 1x\n");
+  EXPECT_EQ(cfg.get_int32("s", "max"), 2147483647);
+  EXPECT_EQ(cfg.get_int32("s", "min"), -2147483647 - 1);
+  EXPECT_EQ(cfg.get_int32("s", "absent", 7), 7);
+  EXPECT_EQ(cfg.get_int32("s", "max", 7), 2147483647);
+  EXPECT_THROW(cfg.get_int32("s", "absent"), ConfigError);
+  EXPECT_THROW(cfg.get_int32("s", "bad", 7), ConfigError);
+  for (const char* key : {"over", "under", "wrapped"}) {
+    try {
+      cfg.get_int32("s", key, 7);
+      ADD_FAILURE() << key << " narrowed silently";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("[s] ") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ConfigTest, DuplicateKeyRejected) {
   EXPECT_THROW(Config::parse("[a]\nx = 1\nx = 2\n"), ConfigError);
 }

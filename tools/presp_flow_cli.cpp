@@ -11,13 +11,13 @@
 // implementation report including the floorplan and the comparison with
 // the standard single-instance DPR flow.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flow.hpp"
@@ -30,8 +30,10 @@
 #include "hls/library.hpp"
 #include "hls/spec_io.hpp"
 #include "util/config.hpp"
+#include "util/error.hpp"
 #include "netlist/config_io.hpp"
 #include "util/log.hpp"
+#include "util/string_utils.hpp"
 #include "util/table.hpp"
 #include "wami/accelerators.hpp"
 
@@ -49,6 +51,18 @@ int usage(const char* argv0) {
                "          [--cache-stats] [--threads N] [--ops-port N]\n",
                argv0);
   return 2;
+}
+
+/// A flag's integer value; nullopt when it is malformed or does not fit
+/// in T.
+template <typename T>
+std::optional<T> int_flag(const char* text) {
+  try {
+    const long long value = parse_int(text);
+    if (std::in_range<T>(value)) return static_cast<T>(value);
+  } catch (const ConfigError&) {
+  }
+  return std::nullopt;
 }
 
 fabric::Device device_for(const std::string& name) {
@@ -94,7 +108,8 @@ int main(int argc, char** argv) {
       else if (s == "fully") options.force_strategy = core::Strategy::kFullyParallel;
       else return usage(argv[0]);
     } else if (arg == "--tau" && i + 1 < argc) {
-      options.force_tau = std::atoi(argv[++i]);
+      options.force_tau = int_flag<int>(argv[++i]);
+      if (!options.force_tau) return usage(argv[0]);
     } else if (arg == "--report" && i + 1 < argc) {
       report_path = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -106,13 +121,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       cache_dir_flag = argv[++i];
     } else if (arg == "--cache-max-bytes" && i + 1 < argc) {
-      cache_max_bytes_flag = std::atoll(argv[++i]);
+      cache_max_bytes_flag = int_flag<long long>(argv[++i]);
+      if (!cache_max_bytes_flag) return usage(argv[0]);
     } else if (arg == "--cache-stats") {
       cache_stats = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads_flag = std::atoi(argv[++i]);
+      threads_flag = int_flag<int>(argv[++i]);
+      if (!threads_flag) return usage(argv[0]);
     } else if (arg == "--ops-port" && i + 1 < argc) {
-      ops_port_flag = std::atoi(argv[++i]);
+      ops_port_flag = int_flag<int>(argv[++i]);
+      if (!ops_port_flag) return usage(argv[0]);
     } else if (!arg.empty() && arg[0] != '-' && config_path.empty()) {
       config_path = arg;
     } else {
@@ -135,8 +153,8 @@ int main(int argc, char** argv) {
     const auto device = device_for(config.device);
 
     // [exec] section defaults; command-line flags win.
-    options.exec_threads = static_cast<int>(
-        raw.get_int_or("exec", "threads", options.exec_threads));
+    options.exec_threads =
+        raw.get_int32("exec", "threads", options.exec_threads);
     options.cache.dir = raw.get_or("exec", "cache_dir", options.cache.dir);
     options.cache.max_bytes = raw.get_int_or("exec", "cache_max_bytes",
                                              options.cache.max_bytes);
